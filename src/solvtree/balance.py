@@ -21,14 +21,13 @@ from .dataset import (
 
 @dataclass(frozen=True)
 class BalanceTargets:
-    """Balancing request: one of two modes plus its knobs and a seed."""
+    """Balancing request: one of two modes plus its knobs."""
 
     mode: str  # "resample" or "smote"
     bias_to_uniform: float = 1.0
     sample_size_percent: float = 100.0
     target_counts: tuple[int, int, int, int] | None = None
     k_neighbors: int = 5
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.mode not in ("resample", "smote"):

@@ -26,7 +26,7 @@ from .datagen import GeneratorSpec, generate
 from .evaluate import cross_validate, evaluate_on, render_report, summary_lines
 from .features import greedy_stepwise
 from .tree import LearnerParams, grow, predict
-from .tree_io import ModelFormatError, parse, render_text, serialize
+from .tree_io import ModelFormatError, read_model, render_text, serialize
 
 SEED_ENV_VAR = "SOLVTREE_SEED"
 
@@ -64,7 +64,6 @@ class PipelineConfig:
                 if self.balance.target_counts is not None
                 else None,
                 "k_neighbors": self.balance.k_neighbors,
-                "seed": self.balance.seed,
             }
         return d
 
@@ -93,7 +92,6 @@ class PipelineConfig:
                 sample_size_percent=float(balance.get("sample_size_percent", 100.0)),
                 target_counts=targets,
                 k_neighbors=int(balance.get("k_neighbors", 5)),
-                seed=int(balance.get("seed", 0)),
             ),
             paths=dict(d.get("paths", {})),
         )
@@ -185,11 +183,37 @@ def _resolve_input(args, cfg: PipelineConfig, key: str = "input") -> str:
     return path
 
 
+def _flag_or(flag, fallback):
+    """A flag's value when it was given, else the config or default value."""
+    return fallback if flag is None else flag
+
+
 def _learner(args, cfg: PipelineConfig) -> LearnerParams:
     return LearnerParams(
-        confidence_factor=args.cf if args.cf is not None else cfg.learner.confidence_factor,
-        min_leaf=args.min_leaf if args.min_leaf is not None else cfg.learner.min_leaf,
-        max_depth=args.max_depth if args.max_depth is not None else cfg.learner.max_depth,
+        confidence_factor=_flag_or(args.cf, cfg.learner.confidence_factor),
+        min_leaf=_flag_or(args.min_leaf, cfg.learner.min_leaf),
+        max_depth=_flag_or(args.max_depth, cfg.learner.max_depth),
+    )
+
+
+def _balance_targets(args, cfg: PipelineConfig, mode: str | None) -> BalanceTargets | None:
+    """Balancing request with each knob taken from its flag, else ``cfg.balance``,
+    else the :class:`BalanceTargets` default; None when neither the ``mode``
+    flag nor the config names a mode.
+    """
+    if mode is None and cfg.balance is None:
+        return None
+    base = cfg.balance or BalanceTargets(mode="resample")
+    mode = mode or base.mode
+    targets = _flag_or(args.targets, base.target_counts)
+    if mode == "smote" and targets is None:
+        raise CliUsageError("smote balancing needs --targets a,b,c,d")
+    return BalanceTargets(
+        mode=mode,
+        bias_to_uniform=_flag_or(args.bias, base.bias_to_uniform),
+        sample_size_percent=_flag_or(args.percent, base.sample_size_percent),
+        target_counts=targets,
+        k_neighbors=_flag_or(args.k_neighbors, base.k_neighbors),
     )
 
 
@@ -216,8 +240,7 @@ def _cmd_label(args) -> int:
 def _cmd_select_features(args) -> int:
     cfg = _config(args)
     ds = load_csv(_resolve_input(args, cfg), expect_labels=True)
-    bins = args.bins if args.bins is not None else cfg.feature_bins
-    result = greedy_stepwise(ds, bins)
+    result = greedy_stepwise(ds, _flag_or(args.bins, cfg.feature_bins))
     print(",".join(result.selected))
     print(f"merit={result.merit!r}")
     return 0
@@ -225,24 +248,15 @@ def _cmd_select_features(args) -> int:
 
 def _cmd_balance(args) -> int:
     cfg = _config(args)
-    mode = args.mode or (cfg.balance.mode if cfg.balance else None)
-    if mode is None:
+    balance = _balance_targets(args, cfg, args.mode)
+    if balance is None:
         raise CliUsageError("no --mode given and the config provides no balance mode")
     ds = load_csv(_resolve_input(args, cfg), expect_labels=True)
     seed = _resolve_seed(args, cfg)
-    cfg_bal = cfg.balance or BalanceTargets(mode="resample")
-    if mode == "resample":
-        bias = args.bias if args.bias is not None else cfg_bal.bias_to_uniform
-        percent = args.percent if args.percent is not None else cfg_bal.sample_size_percent
-        out = resample(ds, bias, percent, seed)
-    elif mode == "smote":
-        targets = args.targets if args.targets is not None else cfg_bal.target_counts
-        if targets is None:
-            raise CliUsageError("smote mode needs --targets a,b,c,d")
-        k = args.k_neighbors if args.k_neighbors is not None else cfg_bal.k_neighbors
-        out = smote(ds, targets, k, seed)
+    if balance.mode == "resample":
+        out = resample(ds, balance.bias_to_uniform, balance.sample_size_percent, seed)
     else:
-        raise CliUsageError(f"unknown balance mode {mode!r}")
+        out = smote(ds, balance.target_counts, balance.k_neighbors, seed)
     _write_dataset(out, args.output or cfg.paths.get("output"))
     return 0
 
@@ -257,33 +271,14 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _balance_from_args(args, cfg: PipelineConfig, seed: int) -> BalanceTargets | None:
-    if args.balance_mode is None:
-        return cfg.balance
-    if args.balance_mode == "none":
-        return None
-    if args.balance_mode == "smote" and args.targets is None:
-        raise CliUsageError("smote balancing needs --targets a,b,c,d")
-    return BalanceTargets(
-        mode=args.balance_mode,
-        bias_to_uniform=args.bias if args.bias is not None else 1.0,
-        sample_size_percent=args.percent if args.percent is not None else 100.0,
-        target_counts=args.targets,
-        k_neighbors=args.k_neighbors if args.k_neighbors is not None else 5,
-        seed=seed,
-    )
-
-
 def _cmd_cross_validate(args) -> int:
     cfg = _config(args)
     ds = load_csv(_resolve_input(args, cfg), expect_labels=True, allow_duplicates=True)
     if args.attributes:
         ds = ds.with_schema(args.attributes)
     seed = _resolve_seed(args, cfg)
-    folds = args.folds if args.folds is not None else cfg.folds
-    report = cross_validate(
-        ds, folds, _learner(args, cfg), _balance_from_args(args, cfg, seed), seed
-    )
+    balance = None if args.balance_mode == "none" else _balance_targets(args, cfg, args.balance_mode)
+    report = cross_validate(ds, _flag_or(args.folds, cfg.folds), _learner(args, cfg), balance, seed)
     _write_text(args.report or cfg.paths.get("report"), render_report(report))
     summary_path = args.summary or cfg.paths.get("summary")
     if summary_path:
@@ -293,7 +288,7 @@ def _cmd_cross_validate(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     cfg = _config(args)
-    model = parse(Path(_resolve_input(args, cfg, "model")).read_text(encoding="utf-8"))
+    model = read_model(_resolve_input(args, cfg, "model"))
     test = load_csv(_resolve_input(args, cfg, "test"), expect_labels=True, allow_duplicates=True)
     report = evaluate_on(model, test)
     _write_text(args.report or cfg.paths.get("report"), render_report(report))
@@ -305,7 +300,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_predict(args) -> int:
     cfg = _config(args)
-    model = parse(Path(_resolve_input(args, cfg, "model")).read_text(encoding="utf-8"))
+    model = read_model(_resolve_input(args, cfg, "model"))
     ds = load_csv(_resolve_input(args, cfg), allow_duplicates=True)
     lines = []
     for r in ds.records:
@@ -321,7 +316,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_render_tree(args) -> int:
     cfg = _config(args)
-    model = parse(Path(_resolve_input(args, cfg, "model")).read_text(encoding="utf-8"))
+    model = read_model(_resolve_input(args, cfg, "model"))
     _write_text(args.output or cfg.paths.get("output"), render_text(model))
     return 0
 

@@ -14,15 +14,13 @@ from functools import lru_cache
 from typing import Union
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .dataset import CLASS_ALPHABET, N_CLASSES, CompanyRecord, Dataset, SolvencyClass
 
 # Score comparisons treat differences within this slack as ties so exact
 # mathematical ties are not broken by rounding noise.
 _TIE_EPS = 1e-12
-
-_BISECTION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -214,8 +212,8 @@ def pessimistic_error(misclassified: int, n: int, cf: float) -> float:
     """Upper confidence limit on a node's true error rate.
 
     Returns the p solving P[Binomial(n, p) <= misclassified] = cf. Zero
-    errors use the closed form 1 - cf**(1/n); n errors give 1. Everything
-    else inverts the exact binomial tail by bisection.
+    errors use 1 - cf**(1/n) and n errors give 1; everything else is the
+    inverse regularized incomplete beta of :func:`invert_binomial_tail`.
     """
     if not 0.0 < cf < 1.0:
         raise ValueError(f"cf must be in (0, 1), got {cf}")
@@ -225,11 +223,6 @@ def pessimistic_error(misclassified: int, n: int, cf: float) -> float:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0 <= e <= n:
         raise ValueError(f"misclassified must be in [0, n], got {e} of {n}")
-    return _pessimistic_error_cached(e, n, cf)
-
-
-@lru_cache(maxsize=None)
-def _pessimistic_error_cached(e: int, n: int, cf: float) -> float:
     if e == 0:
         return 1.0 - cf ** (1.0 / n)
     if e == n:
@@ -238,32 +231,32 @@ def _pessimistic_error_cached(e: int, n: int, cf: float) -> float:
 
 
 def invert_binomial_tail(e: int, n: int, cf: float) -> float:
-    """Solve P[Binomial(n, p) <= e] = cf for p by bisection to 1e-9."""
-    lo, hi = 0.0, 1.0
-    while hi - lo > _BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        # the tail is strictly decreasing in p
-        if stats.binom.cdf(e, n, mid) >= cf:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """Solve P[Binomial(n, p) <= e] = cf for p, where 0 <= e < n.
+
+    P[Binomial(n, p) <= e] = I_{1-p}(n - e, e + 1) = 1 - I_p(e + 1, n - e),
+    so p is the inverse regularized incomplete beta function at 1 - cf.
+    """
+    return float(special.betaincinv(e + 1, n - e, 1.0 - cf))
 
 
-def _subtree_counts(node: TreeNode) -> np.ndarray:
-    if isinstance(node, Leaf):
-        return np.array(node.class_counts, dtype=np.int64)
-    return _subtree_counts(node.left) + _subtree_counts(node.right)
-
-
-def _estimated_leaf_errors(node: TreeNode, cf: float) -> float:
+def _prune(node: TreeNode, cf: float) -> tuple[TreeNode, tuple[int, ...], float]:
+    """Prune a subtree; returns (node, class counts, summed leaf error bound)."""
     if isinstance(node, Leaf):
         n = sum(node.class_counts)
         if n == 0:
-            return 0.0
+            return node, node.class_counts, 0.0
         e = n - max(node.class_counts)
-        return n * pessimistic_error(e, n, cf)
-    return _estimated_leaf_errors(node.left, cf) + _estimated_leaf_errors(node.right, cf)
+        return node, node.class_counts, n * pessimistic_error(e, n, cf)
+    left, left_counts, left_error = _prune(node.left, cf)
+    right, right_counts, right_error = _prune(node.right, cf)
+    counts = tuple(a + b for a, b in zip(left_counts, right_counts))
+    n = sum(counts)
+    e = n - max(counts)
+    subtree_error = left_error + right_error
+    leaf_error = n * pessimistic_error(e, n, cf)
+    if leaf_error <= subtree_error:
+        return _leaf_from_counts(counts), counts, leaf_error
+    return Split(node.attribute, node.threshold, left, right), counts, subtree_error
 
 
 def prune(root: TreeNode, cf: float) -> TreeNode:
@@ -271,21 +264,11 @@ def prune(root: TreeNode, cf: float) -> TreeNode:
 
     At each internal node the estimated subtree error (sum over its leaves
     of n * pessimistic_error) is compared with the error of a single
-    majority leaf; the leaf wins ties. The pass is deterministic and
-    idempotent.
+    majority leaf; the leaf wins ties. One pass carries each subtree's
+    class counts and error sum upward, so no subtree is walked twice. The
+    pass is deterministic and idempotent.
     """
-    if isinstance(root, Leaf):
-        return root
-    left = prune(root.left, cf)
-    right = prune(root.right, cf)
-    counts = _subtree_counts(left) + _subtree_counts(right)
-    n = int(counts.sum())
-    e = n - int(counts.max())
-    subtree_error = _estimated_leaf_errors(left, cf) + _estimated_leaf_errors(right, cf)
-    leaf_error = n * pessimistic_error(e, n, cf)
-    if leaf_error <= subtree_error:
-        return _leaf_from_counts(counts)
-    return Split(root.attribute, root.threshold, left, right)
+    return _prune(root, cf)[0]
 
 
 def predict(model: TreeModel, record: CompanyRecord) -> tuple[SolvencyClass, np.ndarray]:

@@ -113,6 +113,83 @@ class TestBalanceCommand:
         assert "--targets" in err
 
 
+class TestBalanceResolution:
+    """Balancing knobs come from the flag, else the config, else the default."""
+
+    @pytest.fixture()
+    def hard_csv(self, tmp_path):
+        path = tmp_path / "hard.csv"
+        argv = ["generate", "--counts", "20,8,8,44", "--separation", "1.0", "--seed", "7", "-o", str(path)]
+        assert main(argv) == 0
+        return path
+
+    def _report(self, tmp_path, data_csv, name, *argv) -> bytes:
+        path = tmp_path / f"{name}.txt"
+        assert main([
+            "cross-validate", "--input", str(data_csv), "--folds", "4", "--seed", "5",
+            "--report", str(path), *argv,
+        ]) == 0
+        return path.read_bytes()
+
+    def _config(self, tmp_path, balance: dict) -> str:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"balance": balance}), encoding="utf-8")
+        return str(path)
+
+    def test_cv_smote_takes_targets_and_k_from_config(self, hard_csv, tmp_path):
+        cfg = self._config(
+            tmp_path, {"mode": "resample", "target_counts": [40, 40, 40, 40], "k_neighbors": 1}
+        )
+        by_config = self._report(tmp_path, hard_csv, "cfg", "--config", cfg, "--balance-mode", "smote")
+        by_flags = self._report(
+            tmp_path, hard_csv, "flags", "--balance-mode", "smote",
+            "--targets", "40,40,40,40", "--k", "1",
+        )
+        default_k = self._report(
+            tmp_path, hard_csv, "default_k", "--balance-mode", "smote", "--targets", "40,40,40,40",
+        )
+        assert by_config == by_flags
+        assert by_config != default_k
+
+    def test_cv_resample_takes_bias_and_percent_from_config(self, hard_csv, tmp_path):
+        cfg = self._config(
+            tmp_path, {"mode": "smote", "target_counts": [40, 40, 40, 40],
+                       "bias_to_uniform": 0.5, "sample_size_percent": 60.0},
+        )
+        by_config = self._report(tmp_path, hard_csv, "cfg", "--config", cfg, "--balance-mode", "resample")
+        by_flags = self._report(
+            tmp_path, hard_csv, "flags", "--balance-mode", "resample", "--bias", "0.5", "--percent", "60",
+        )
+        defaults = self._report(tmp_path, hard_csv, "defaults", "--balance-mode", "resample")
+        assert by_config == by_flags
+        assert by_config != defaults
+
+    def test_flags_win_over_config(self, hard_csv, tmp_path):
+        cfg = self._config(
+            tmp_path, {"mode": "resample", "bias_to_uniform": 0.5, "sample_size_percent": 60.0}
+        )
+        config_only = self._report(tmp_path, hard_csv, "cfg", "--config", cfg)
+        overridden = self._report(tmp_path, hard_csv, "override", "--config", cfg, "--percent", "100")
+        by_flags = self._report(
+            tmp_path, hard_csv, "flags", "--balance-mode", "resample", "--bias", "0.5", "--percent", "100",
+        )
+        assert overridden == by_flags
+        assert overridden != config_only
+
+    def test_balance_command_reads_the_same_config(self, data_csv, tmp_path, capsys):
+        cfg = self._config(tmp_path, {"mode": "smote", "target_counts": [44, 44, 44, 44], "k_neighbors": 2})
+        by_config, by_flags = tmp_path / "c.csv", tmp_path / "f.csv"
+        assert main([
+            "balance", "--input", str(data_csv), "--config", cfg, "--seed", "1", "-o", str(by_config),
+        ]) == 0
+        assert main([
+            "balance", "--input", str(data_csv), "--mode", "smote", "--targets", "44,44,44,44",
+            "--k", "2", "--seed", "1", "-o", str(by_flags),
+        ]) == 0
+        assert by_config.read_bytes() == by_flags.read_bytes()
+        assert class_distribution(load_csv(by_config)) == (44, 44, 44, 44)
+
+
 class TestTrainPredictEvaluate:
     def test_full_chain(self, data_csv, tmp_path, capsys):
         model = tmp_path / "m.tree"
@@ -195,11 +272,15 @@ class TestConfigAndSeeds:
             folds=5,
             feature_bins=8,
             learner=LearnerParams(confidence_factor=0.1, min_leaf=3, max_depth=4),
-            balance=BalanceTargets(mode="smote", target_counts=(5, 5, 5, 5), k_neighbors=2, seed=1),
+            balance=BalanceTargets(mode="smote", target_counts=(5, 5, 5, 5), k_neighbors=2),
             paths={"input": "a.csv"},
         )
         assert PipelineConfig.from_json(cfg.to_json()) == cfg
         assert PipelineConfig.from_json(PipelineConfig().to_json()) == PipelineConfig()
+
+    def test_config_with_legacy_balance_seed_loads(self):
+        cfg = PipelineConfig.from_dict({"balance": {"mode": "resample", "seed": 4}})
+        assert cfg.balance == BalanceTargets(mode="resample")
 
     def test_defaults_match_reference_settings(self):
         cfg = PipelineConfig()

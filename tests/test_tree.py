@@ -1,5 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import stats
+
+import solvtree
 
 from solvtree import (
     LearnerParams,
@@ -52,6 +60,25 @@ class TestPessimisticError:
         for n in range(1, 51):
             closed = 1 - 0.25 ** (1 / n)
             assert invert_binomial_tail(0, n, 0.25) == pytest.approx(closed, abs=1e-9)
+
+    @pytest.mark.parametrize("cf", [0.01, 0.25, 0.5])
+    def test_tail_inversion_grid(self, cf):
+        pairs = [(e, n) for n in range(1, 41) for e in range(1, n)]
+        for n in (616, 2464):
+            spread = set(np.linspace(1, n - 1, 25).astype(int).tolist()) | {2, 3, n - 2}
+            pairs += [(e, n) for e in sorted(spread)]
+        e, n = np.array(pairs).T
+        p = np.array([invert_binomial_tail(a, b, cf) for a, b in pairs])
+        assert np.all((p > 0.0) & (p < 1.0))
+        assert np.max(np.abs(stats.binom.cdf(e, n, p) - cf)) <= 1e-9
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        code = "import sys, solvtree; print('scipy.stats' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(solvtree.__file__).resolve().parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
     def test_strictly_increasing_in_errors(self):
         values = [pessimistic_error(e, 30, 0.25) for e in range(31)]
