@@ -14,7 +14,6 @@ from .dataset import (
     CompanyRecord,
     Dataset,
     SolvencyClass,
-    class_distribution,
     _round_half_up,
 )
 
@@ -70,7 +69,8 @@ def resample(
     n = len(ds)
     if n == 0:
         raise ValueError("cannot resample an empty dataset")
-    counts = class_distribution(ds)
+    y = ds.label_indices()
+    counts = np.bincount(y, minlength=N_CLASSES).tolist()
     probs = np.array(
         [
             (1.0 - bias_to_uniform) * c / n + bias_to_uniform / N_CLASSES
@@ -82,9 +82,7 @@ def resample(
             raise ValueError(
                 f"class {cls.csv_name} has no members but draw probability {p:.6g}"
             )
-    members = [
-        [i for i, r in enumerate(ds.records) if r.label is cls] for cls in CLASS_ALPHABET
-    ]
+    members = [np.flatnonzero(y == c) for c in range(N_CLASSES)]
     size = _round_half_up(sample_size_percent / 100.0 * n)
     rng = np.random.default_rng(seed)
     class_draws = rng.choice(N_CLASSES, size=size, p=probs)
@@ -149,7 +147,8 @@ def smote(
         raise ValueError("target_counts must have one entry per class")
     if k_neighbors < 1:
         raise ValueError(f"k_neighbors must be >= 1, got {k_neighbors}")
-    counts = class_distribution(ds)
+    y = ds.label_indices()
+    counts = np.bincount(y, minlength=N_CLASSES).tolist()
     for cls, have, want in zip(CLASS_ALPHABET, counts, targets):
         if want < have:
             raise ValueError(
@@ -164,7 +163,7 @@ def smote(
         deficit = targets[cls.value] - counts[cls.value]
         if deficit == 0:
             continue
-        members = [r for r in ds.records if r.label is cls]
+        members = [ds.records[i] for i in np.flatnonzero(y == cls.value)]
         rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, cls.value]))
         neighbor_cache: dict[int, list[CompanyRecord]] = {}
         for t in range(deficit):

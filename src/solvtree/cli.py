@@ -69,31 +69,30 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
-        learner = d.get("learner", {})
+        """Inverse of :meth:`to_dict`; a malformed key raises ValueError naming it."""
+        d = _config_object(d, "the config")
+        learner = _config_object(d.get("learner", {}), "config key 'learner'")
         balance = d.get("balance")
-        targets = None
         if balance is not None:
-            raw = balance.get("target_counts")
-            targets = tuple(raw) if raw is not None else None
+            balance = _config_object(balance, "config key 'balance'")
+            balance = BalanceTargets(
+                mode=balance.get("mode"),
+                bias_to_uniform=_field(balance, "balance.bias_to_uniform", float, 1.0),
+                sample_size_percent=_field(balance, "balance.sample_size_percent", float, 100.0),
+                target_counts=_field(balance, "balance.target_counts", _int_tuple, None),
+                k_neighbors=_field(balance, "balance.k_neighbors", int, 5),
+            )
         return cls(
-            seed=int(d.get("seed", 0)),
-            folds=int(d.get("folds", 10)),
-            feature_bins=int(d.get("feature_bins", 10)),
+            seed=_field(d, "seed", int, 0),
+            folds=_field(d, "folds", int, 10),
+            feature_bins=_field(d, "feature_bins", int, 10),
             learner=LearnerParams(
-                confidence_factor=float(learner.get("confidence_factor", 0.25)),
-                min_leaf=int(learner.get("min_leaf", 2)),
-                max_depth=learner.get("max_depth"),
+                confidence_factor=_field(learner, "learner.confidence_factor", float, 0.25),
+                min_leaf=_field(learner, "learner.min_leaf", int, 2),
+                max_depth=_field(learner, "learner.max_depth", int, None),
             ),
-            balance=None
-            if balance is None
-            else BalanceTargets(
-                mode=balance["mode"],
-                bias_to_uniform=float(balance.get("bias_to_uniform", 1.0)),
-                sample_size_percent=float(balance.get("sample_size_percent", 100.0)),
-                target_counts=targets,
-                k_neighbors=int(balance.get("k_neighbors", 5)),
-            ),
-            paths=dict(d.get("paths", {})),
+            balance=balance,
+            paths=_field(d, "paths", dict, {}),
         )
 
     def to_json(self) -> str:
@@ -106,6 +105,30 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
         return cls.from_json(Path(path).read_text(encoding="utf-8"))
+
+
+def _config_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _int_tuple(values) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
+
+
+def _field(section: dict, key: str, convert, default):
+    """``convert`` of the entry for dotted ``key``, else of ``default``.
+
+    A key whose default is None may be absent or null.
+    """
+    value = section.get(key.rpartition(".")[2], default)
+    if value is None and default is None:
+        return None
+    try:
+        return convert(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"config key {key!r} has a bad value {value!r}") from None
 
 
 class CliUsageError(Exception):

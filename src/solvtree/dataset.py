@@ -181,10 +181,6 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.records)
 
-    @property
-    def labeled(self) -> bool:
-        return all(r.label is not None for r in self.records)
-
     def matrix(self) -> np.ndarray:
         """Record attribute values as a float array, schema order, shape (n, k)."""
         cols = [_ATTR_INDEX[a] for a in self.schema]
@@ -207,12 +203,7 @@ class Dataset:
 
 def class_distribution(ds: Dataset) -> tuple[int, int, int, int]:
     """Per-class record counts in alphabet order; requires a labeled dataset."""
-    counts = [0, 0, 0, 0]
-    for i, r in enumerate(ds.records):
-        if r.label is None:
-            raise ValueError(f"record {i} is unlabeled")
-        counts[r.label.value] += 1
-    return tuple(counts)
+    return tuple(np.bincount(ds.label_indices(), minlength=N_CLASSES).tolist())
 
 
 def _round_half_up(x: float) -> int:
@@ -231,22 +222,16 @@ def stratified_split(
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    y = ds.label_indices()
     rng = np.random.default_rng(seed)
-    train_ids: set[int] = set()
-    for cls in CLASS_ALPHABET:
-        idx = [i for i, r in enumerate(ds.records) if _require_label(r, i) is cls]
+    in_train = np.zeros(len(y), dtype=bool)
+    for c in range(N_CLASSES):
+        idx = np.flatnonzero(y == c)
         n_train = min(len(idx), max(0, _round_half_up(train_fraction * len(idx))))
-        perm = rng.permutation(len(idx))
-        train_ids.update(idx[p] for p in perm[:n_train])
-    train = tuple(r for i, r in enumerate(ds.records) if i in train_ids)
-    test = tuple(r for i, r in enumerate(ds.records) if i not in train_ids)
+        in_train[idx[rng.permutation(len(idx))[:n_train]]] = True
+    train = tuple(r for r, t in zip(ds.records, in_train) if t)
+    test = tuple(r for r, t in zip(ds.records, in_train) if not t)
     return Dataset(train, ds.schema), Dataset(test, ds.schema)
-
-
-def _require_label(record: CompanyRecord, index: int) -> SolvencyClass:
-    if record.label is None:
-        raise ValueError(f"record {index} is unlabeled")
-    return record.label
 
 
 class CsvFormatError(ValueError):

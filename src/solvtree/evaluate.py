@@ -134,18 +134,11 @@ def stratified_folds(ds: Dataset, k: int, seed: int) -> list[list[int]]:
         raise ValueError(f"k must be >= 2, got {k}")
     if k > n:
         raise ValueError(f"k = {k} exceeds the {n} available records")
+    y = ds.label_indices()
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    pos = 0
-    for cls in CLASS_ALPHABET:
-        idx = [i for i, r in enumerate(ds.records) if r.label is cls]
-        perm = rng.permutation(len(idx))
-        for p in perm:
-            folds[pos % k].append(idx[int(p)])
-            pos += 1
-    if pos != n:
-        raise ValueError("dataset has unlabeled records")
-    return [sorted(f) for f in folds]
+    members = (np.flatnonzero(y == c) for c in range(N_CLASSES))
+    dealt = np.concatenate([idx[rng.permutation(len(idx))] for idx in members])
+    return [sorted(dealt[j::k].tolist()) for j in range(k)]
 
 
 def _fold_seed(seed: int, fold: int) -> int:

@@ -47,15 +47,14 @@ def discretize(ds: Dataset, n_bins: int = 10) -> DiscretizedView:
     if n == 0:
         raise ValueError("cannot discretize an empty dataset")
     X = ds.matrix()
+    order = np.argsort(X, axis=0, kind="stable")
+    vs = np.take_along_axis(X, order, axis=0)
+    run_start = np.ones(X.shape, dtype=bool)
+    run_start[1:] = vs[1:] != vs[:-1]
+    # each value takes the rank of the first member of its run of equal values
+    rank = np.maximum.accumulate(np.where(run_start, np.arange(n)[:, None], 0), axis=0)
     bins = np.empty(X.shape, dtype=np.int64)
-    for j in range(X.shape[1]):
-        order = np.argsort(X[:, j], kind="stable")
-        vs = X[order, j]
-        sorted_bins = np.arange(n, dtype=np.int64) * n_bins // n
-        for i in range(1, n):
-            if vs[i] == vs[i - 1]:
-                sorted_bins[i] = sorted_bins[i - 1]
-        bins[order, j] = sorted_bins
+    np.put_along_axis(bins, order, rank * n_bins // n, axis=0)
     return DiscretizedView(bins, n_bins, ds.schema)
 
 

@@ -8,9 +8,7 @@ replacement driven by an inverted binomial tail bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -75,12 +73,21 @@ def entropy(counts) -> float:
     total = sum(vals)
     if total <= 0:
         raise ValueError("entropy needs at least one positive count")
-    return -sum((c / total) * math.log2(c / total) for c in vals if c > 0)
+    return float(_entropy_rows(np.array([vals]), total)[0])
 
 
-@lru_cache(maxsize=None)
-def _counts_entropy(counts: tuple[int, ...], total: int) -> float:
-    return -sum((c / total) * math.log2(c / total) for c in counts if c > 0)
+def _entropy_rows(counts: np.ndarray, totals) -> np.ndarray:
+    """Entropy in bits of each row of ``counts``; ``totals`` are the positive row sums.
+
+    Terms are added in class order, as a Python sum over one row adds them.
+    """
+    p = counts / np.reshape(totals, (-1, 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0, p * np.log2(p), 0.0)
+    h = terms[:, 0]
+    for j in range(1, terms.shape[1]):
+        h = h + terms[:, j]
+    return -h
 
 
 @dataclass(frozen=True)
@@ -103,55 +110,44 @@ def best_split(values, labels, params: LearnerParams = LearnerParams()) -> Split
     when no threshold satisfies the min_leaf constraint.
 
     ``values`` is an (n, k) array-like of attribute columns, ``labels`` the
-    per-row class indices.
+    per-row class indices. Every candidate is scored in one array pass from
+    the cumulative class counts of each attribute's sorted rows.
     """
     X = np.asarray(values, dtype=float)
     y = np.asarray(labels, dtype=np.int64)
     n = len(y)
-    if n < 2:
+    if n < 2 or X.shape[1] == 0:
         return None
     node_counts = np.bincount(y, minlength=N_CLASSES)
     if node_counts.max() == n:
         return None
-    h_node = _counts_entropy(tuple(int(c) for c in node_counts), n)
+    h_node = _entropy_rows(node_counts[None, :], n)[0]
+    onehot = np.eye(N_CLASSES, dtype=np.int64)[y]
 
-    candidates: list[SplitCandidate] = []
+    cuts = []  # per attribute: attribute index, thresholds, left sizes, left class counts
     for a in range(X.shape[1]):
-        col = X[:, a]
-        order = np.argsort(col, kind="stable")
-        vs = col[order]
-        ys = y[order]
-        cuts = np.nonzero(vs[:-1] < vs[1:])[0]
-        if cuts.size == 0:
-            continue
-        onehot = np.zeros((n, N_CLASSES), dtype=np.int64)
-        onehot[np.arange(n), ys] = 1
-        cum = onehot.cumsum(axis=0)
-        for i in cuts:
-            nl = int(i) + 1
-            nr = n - nl
-            if nl < params.min_leaf or nr < params.min_leaf:
-                continue
-            left_counts = tuple(int(c) for c in cum[i])
-            right_counts = tuple(int(t - l) for t, l in zip(node_counts, left_counts))
-            gain = (
-                h_node
-                - (nl / n) * _counts_entropy(left_counts, nl)
-                - (nr / n) * _counts_entropy(right_counts, nr)
-            )
-            split_info = _counts_entropy((nl, nr), n)
-            candidates.append(
-                SplitCandidate(a, float(vs[i]), gain, gain / split_info)
-            )
-    if not candidates:
+        order = np.argsort(X[:, a], kind="stable")
+        vs = X[order, a]
+        nl = np.flatnonzero(vs[:-1] < vs[1:]) + 1  # rows left of each distinct-value cut
+        nl = nl[(nl >= params.min_leaf) & (n - nl >= params.min_leaf)]
+        cuts.append((np.full(nl.size, a), vs[nl - 1], nl, onehot[order].cumsum(axis=0)[nl - 1]))
+    attrs, thresholds, nl, left = map(np.concatenate, zip(*cuts))
+    if nl.size == 0:
         return None
-    mean_gain = sum(c.gain for c in candidates) / len(candidates)
-    eligible = [c for c in candidates if c.gain >= mean_gain - _TIE_EPS]
-    best = eligible[0]
-    for c in eligible[1:]:
-        if c.gain_ratio > best.gain_ratio + _TIE_EPS:
-            best = c
-    return best
+    nr = n - nl
+    h_left, h_right = _entropy_rows(left, nl), _entropy_rows(node_counts - left, nr)
+    gains = h_node - nl / n * h_left - nr / n * h_right
+    ratios = gains / _entropy_rows(np.column_stack((nl, nr)), n)
+    # Python's sum adds the gains in candidate order; np.sum would add them pairwise
+    mean_gain = sum(gains.tolist()) / gains.size
+    eligible = np.flatnonzero(gains >= mean_gain - _TIE_EPS)
+    ratio = ratios[eligible].tolist()
+    best = 0
+    for i in range(1, len(ratio)):
+        if ratio[i] > ratio[best] + _TIE_EPS:
+            best = i
+    k = eligible[best]
+    return SplitCandidate(int(attrs[k]), float(thresholds[k]), float(gains[k]), float(ratios[k]))
 
 
 def _leaf_from_counts(counts) -> Leaf:

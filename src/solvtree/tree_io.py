@@ -18,14 +18,16 @@ class ModelFormatError(ValueError):
         super().__init__(f"{message} (line {line})")
 
 
-def _node_lines(node: TreeNode, out: list[str]) -> None:
-    if isinstance(node, Leaf):
-        out.append("leaf " + " ".join(str(c) for c in node.class_counts))
-    else:
-        # 17 significant digits round-trip any float64 exactly
-        out.append(f"split {node.attribute} {node.threshold:.17g}")
-        _node_lines(node.left, out)
-        _node_lines(node.right, out)
+def _node_lines(root: TreeNode, out: list[str]) -> None:
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            out.append("leaf " + " ".join(str(c) for c in node.class_counts))
+        else:
+            # 17 significant digits round-trip any float64 exactly
+            out.append(f"split {node.attribute} {node.threshold:.17g}")
+            stack += (node.right, node.left)
 
 
 def serialize(model: TreeModel) -> str:
@@ -69,7 +71,8 @@ def _header_value(reader: _LineReader, key: str) -> str:
     return line[len(prefix):]
 
 
-def _read_node(reader: _LineReader, schema: tuple[str, ...]) -> TreeNode:
+def _read_node_line(reader: _LineReader, schema: tuple[str, ...]) -> Leaf | tuple[str, float]:
+    """One pre-order node line: a Leaf, or a split's (attribute, threshold)."""
     at = reader.line_no
     line = reader.next("a node line")
     parts = line.split()
@@ -90,13 +93,26 @@ def _read_node(reader: _LineReader, schema: tuple[str, ...]) -> TreeNode:
         if attribute not in schema:
             raise ModelFormatError(f"split attribute {attribute!r} not in schema", at)
         try:
-            threshold = float(parts[2])
+            return attribute, float(parts[2])
         except ValueError:
             raise ModelFormatError(f"non-numeric threshold {parts[2]!r}", at) from None
-        left = _read_node(reader, schema)
-        right = _read_node(reader, schema)
-        return Split(attribute, threshold, left, right)
     raise ModelFormatError(f"expected a 'split' or 'leaf' line, found {line!r}", at)
+
+
+def _read_tree(reader: _LineReader, schema: tuple[str, ...]) -> TreeNode:
+    """Read pre-order node lines; splits wait on a stack until both children are read."""
+    pending: list[list] = []  # [attribute, threshold, left child once read]
+    while True:
+        node = _read_node_line(reader, schema)
+        if isinstance(node, tuple):
+            pending.append([*node, None])
+            continue
+        while pending and pending[-1][2] is not None:
+            attribute, threshold, left = pending.pop()
+            node = Split(attribute, threshold, left, node)
+        if not pending:
+            return node
+        pending[-1][2] = node
 
 
 def parse(text: str) -> TreeModel:
@@ -139,7 +155,7 @@ def parse(text: str) -> TreeModel:
         params = LearnerParams(cf, min_leaf, max_depth)
     except ValueError as exc:
         raise ModelFormatError(str(exc), reader.line_no - 1) from None
-    root = _read_node(reader, schema)
+    root = _read_tree(reader, schema)
     if reader.pos != len(reader.lines):
         raise ModelFormatError("trailing content after the tree", reader.line_no)
     return TreeModel(root, params, schema, (n_trained, counts))
@@ -151,22 +167,22 @@ def _leaf_text(leaf: Leaf) -> str:
 
 def render_text(model: TreeModel) -> str:
     """Human-readable indented rendering, one branch per line."""
+    if isinstance(model.root, Leaf):
+        return _leaf_text(model.root) + "\n"
     lines: list[str] = []
 
-    def walk(node: Split, depth: int) -> None:
-        indent = "|   " * depth
-        for child, op in ((node.left, "<="), (node.right, ">")):
-            head = f"{indent}{node.attribute} {op} {node.threshold:.6g}"
-            if isinstance(child, Leaf):
-                lines.append(f"{head}: {_leaf_text(child)}")
-            else:
-                lines.append(f"{head}:")
-                walk(child, depth + 1)
+    def branches(node: Split, depth: int) -> list[tuple[Split, str, TreeNode, int]]:
+        return [(node, ">", node.right, depth), (node, "<=", node.left, depth)]  # left pops first
 
-    if isinstance(model.root, Leaf):
-        lines.append(_leaf_text(model.root))
-    else:
-        walk(model.root, 0)
+    stack = branches(model.root, 0)
+    while stack:
+        node, op, child, depth = stack.pop()
+        head = f"{'|   ' * depth}{node.attribute} {op} {node.threshold:.6g}"
+        if isinstance(child, Leaf):
+            lines.append(f"{head}: {_leaf_text(child)}")
+        else:
+            lines.append(f"{head}:")
+            stack += branches(child, depth + 1)
     return "\n".join(lines) + "\n"
 
 

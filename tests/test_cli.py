@@ -282,6 +282,30 @@ class TestConfigAndSeeds:
         cfg = PipelineConfig.from_dict({"balance": {"mode": "resample", "seed": 4}})
         assert cfg.balance == BalanceTargets(mode="resample")
 
+    @pytest.mark.parametrize("command", ["generate", "balance"])
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"balance": {}}, "mode"),
+            ([], "config"),
+            ({"learner": {"max_depth": "x"}}, "learner.max_depth"),
+            ({"learner": []}, "learner"),
+        ],
+        ids=["balance-without-mode", "top-level-list", "bad-max-depth", "learner-list"],
+    )
+    def test_malformed_config_is_a_data_error(self, command, config, key, data_csv, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        if command == "generate":
+            argv = ["generate", "--counts", "4,4,4,4"]
+        else:
+            argv = ["balance", "--input", str(data_csv), "--mode", "resample"]
+        code, _, err = _run(capsys, *argv, "--config", str(cfg_path), "-o", str(tmp_path / "out.csv"))
+        assert code == 1
+        assert err.startswith("error:")
+        assert key in err
+        assert "Traceback" not in err
+
     def test_defaults_match_reference_settings(self):
         cfg = PipelineConfig()
         assert cfg.learner.confidence_factor == 0.25

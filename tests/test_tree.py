@@ -56,7 +56,7 @@ class TestPessimisticError:
         assert pessimistic_error(0, 1, 0.25) == pytest.approx(0.75, abs=1e-12)
         assert pessimistic_error(0, 4, 0.25) == pytest.approx(1 - 0.25 ** 0.25, abs=1e-12)
 
-    def test_bisection_matches_closed_form(self):
+    def test_zero_errors_match_closed_form(self):
         for n in range(1, 51):
             closed = 1 - 0.25 ** (1 / n)
             assert invert_binomial_tail(0, n, 0.25) == pytest.approx(closed, abs=1e-9)
@@ -140,12 +140,13 @@ class TestBestSplit:
         if cand is not None:
             assert cand.threshold in set(X[:, cand.attribute_index])
 
-    def test_matches_exhaustive_oracle(self):
+    @pytest.mark.parametrize("min_leaf", [1, 2, 3])
+    def test_matches_exhaustive_oracle(self, min_leaf):
         rng = np.random.default_rng(123)
         for _ in range(150):
             rows, labels = random_split_instance(rng)
-            got = best_split(rows, labels, LearnerParams(min_leaf=2))
-            want = oracle_best_split(rows, labels, min_leaf=2)
+            got = best_split(rows, labels, LearnerParams(min_leaf=min_leaf))
+            want = oracle_best_split(rows, labels, min_leaf=min_leaf)
             if want is None:
                 assert got is None
             else:

@@ -15,8 +15,16 @@ from solvtree import (
     serialize,
     write_model,
 )
+from solvtree.cli import main
 
 from oracles import make_dataset
+
+
+def _chain_text(depth: int) -> str:
+    """Model text of a right-leaning chain of ``depth`` splits on V1."""
+    nodes = "".join(f"split V1 {i}\nleaf 1 0 0 0\n" for i in range(depth))
+    header = "solvtree-tree 1\nconfidence_factor 0.25\nmin_leaf 2\nmax_depth none\nschema V1\n"
+    return f"{header}trained {depth + 1} {depth},0,0,1\n{nodes}leaf 0 0 0 1\n"
 
 
 def _random_model(rng):
@@ -125,3 +133,44 @@ class TestRenderText:
             "|   V2 > 0.75: strong [0 0 0 4]\n"
         )
         assert "|   |   " not in text
+
+    def test_left_subtree_before_right_branch(self):
+        model = TreeModel(
+            Split(
+                "V1", 1.5,
+                Split(
+                    "V2", 0.75,
+                    Leaf((3, 0, 0, 0), SolvencyClass.INSOLVENCY),
+                    Leaf((0, 2, 0, 0), SolvencyClass.WEAK),
+                ),
+                Leaf((0, 0, 0, 4), SolvencyClass.STRONG),
+            ),
+            LearnerParams(),
+            ("V1", "V2"),
+            (9, (3, 2, 0, 4)),
+        )
+        assert render_text(model) == (
+            "V1 <= 1.5:\n"
+            "|   V2 <= 0.75: insolvency [3 0 0 0]\n"
+            "|   V2 > 0.75: weak [0 2 0 0]\n"
+            "V1 > 1.5: strong [0 0 0 4]\n"
+        )
+
+
+class TestDeepModels:
+    def test_deep_chain_round_trips(self):
+        text = _chain_text(5000)
+        # compare text: dataclass equality on so deep a model would itself recurse
+        assert serialize(parse(text)) == text
+
+    def test_render_tree_on_deep_chain(self, tmp_path, capsys):
+        # the rendering's indentation grows with depth, so its size with depth squared;
+        # 1500 splits (9 MB of text) is already well past the interpreter's recursion limit
+        path = tmp_path / "chain.tree"
+        path.write_text(_chain_text(1500), encoding="utf-8")
+        out = tmp_path / "chain.txt"
+        assert main(["render-tree", "--model", str(path), "-o", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 3000
+        assert lines[-1] == "|   " * 1499 + "V1 > 1499: strong [0 0 0 1]"
