@@ -62,7 +62,6 @@ from .tree import (
     prune,
 )
 from .tree_io import ModelFormatError, parse, read_model, render_text, serialize, write_model
-from .cli import PipelineConfig
 
 __all__ = [
     "ATTRIBUTE_NAMES",
@@ -125,3 +124,13 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # cli is imported on first use, so `python -m solvtree.cli` does not find
+    # it already imported by this package
+    if name == "PipelineConfig":
+        from .cli import PipelineConfig
+
+        return PipelineConfig
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

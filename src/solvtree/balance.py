@@ -111,9 +111,13 @@ def nearest_neighbors(
         raise ValueError(f"k must be >= 1, got {k}")
     q = np.array([query.value(a) for a in schema])
     P = np.array([[r.value(a) for a in schema] for r in pool])
+    return [pool[i] for i in _nearest_rows(P, q, k).tolist()]
+
+
+def _nearest_rows(P: np.ndarray, q: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k rows of P nearest to q, ascending distance, ties in row order."""
     d = np.sqrt(((P - q) ** 2).sum(axis=1))
-    order = np.argsort(d, kind="stable")[:k]
-    return [pool[int(i)] for i in order]
+    return np.argsort(d, kind="stable")[:k]
 
 
 def _interpolate(
@@ -164,15 +168,19 @@ def smote(
         if deficit == 0:
             continue
         members = [ds.records[i] for i in np.flatnonzero(y == cls.value)]
+        M = Dataset(tuple(members), ds.schema).matrix()
+        # Member s is at distance 0 from itself, so dropping it from the stable
+        # order over all members leaves the stable order over the others, and
+        # the first k+1 rows hold the first k of those whether or not s is there.
+        neighbor_rows = []
+        for s in range(min(deficit, len(members))):
+            order = _nearest_rows(M, M[s], k_neighbors + 1)
+            neighbor_rows.append(order[order != s][:k_neighbors].tolist())
         rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, cls.value]))
-        neighbor_cache: dict[int, list[CompanyRecord]] = {}
         for t in range(deficit):
             s = t % len(members)
-            if s not in neighbor_cache:
-                pool = members[:s] + members[s + 1 :]
-                neighbor_cache[s] = nearest_neighbors(members[s], pool, k_neighbors, ds.schema)
-            neighbors = neighbor_cache[s]
-            neighbor = neighbors[int(rng.integers(len(neighbors)))]
+            neighbors = neighbor_rows[s]
+            neighbor = members[neighbors[int(rng.integers(len(neighbors)))]]
             u = float(rng.random())
             synthetics.append(_interpolate(members[s], neighbor, u, cls))
     return Dataset(ds.records + tuple(synthetics), ds.schema)

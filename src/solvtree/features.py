@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Sequence
 
 import numpy as np
@@ -58,8 +58,7 @@ def discretize(ds: Dataset, n_bins: int = 10) -> DiscretizedView:
     return DiscretizedView(bins, n_bins, ds.schema)
 
 
-def _label_entropy(arr: np.ndarray) -> float:
-    _, counts = np.unique(arr, return_counts=True)
+def _entropy_of_counts(counts: np.ndarray) -> float:
     p = counts / counts.sum()
     return float(-(p * np.log2(p)).sum())
 
@@ -68,7 +67,9 @@ def symmetric_uncertainty(x, y) -> float:
     """2 * IG(x; y) / (H(x) + H(y)) over discrete sequences, in [0, 1].
 
     Defined as 0 when both marginal entropies vanish (two constants carry
-    no information either way).
+    no information either way). Joint cells are counted from each side's
+    order-preserving integer codes, so they come in (x, y) lexicographic
+    order.
     """
     x = np.asarray(x)
     y = np.asarray(y)
@@ -76,14 +77,15 @@ def symmetric_uncertainty(x, y) -> float:
         raise ValueError(f"length mismatch: {x.shape} vs {y.shape}")
     if x.size == 0:
         raise ValueError("need at least one element")
-    hx = _label_entropy(x)
-    hy = _label_entropy(y)
+    _, x_codes, x_counts = np.unique(x, return_inverse=True, return_counts=True)
+    y_values, y_codes, y_counts = np.unique(y, return_inverse=True, return_counts=True)
+    hx = _entropy_of_counts(x_counts)
+    hy = _entropy_of_counts(y_counts)
     if hx + hy == 0.0:
         return 0.0
-    pairs = np.stack([x, y], axis=1)
-    _, counts = np.unique(pairs, axis=0, return_counts=True)
-    p = counts / counts.sum()
-    hxy = float(-(p * np.log2(p)).sum())
+    # unique over the codes, not bincount: memory stays O(n) however many values each side has
+    _, joint_counts = np.unique(x_codes * len(y_values) + y_codes, return_counts=True)
+    hxy = _entropy_of_counts(joint_counts)
     gain = max(0.0, hx + hy - hxy)
     return min(1.0, 2.0 * gain / (hx + hy))
 
@@ -91,6 +93,25 @@ def symmetric_uncertainty(x, y) -> float:
 def merit_from_correlations(k: int, r_cf: float, r_ff: float) -> float:
     """CFS merit of a size-k subset from its mean correlations."""
     return k * r_cf / math.sqrt(k + k * (k - 1) * r_ff)
+
+
+def _su_table(view: DiscretizedView, labels: np.ndarray, pairs) -> dict[tuple[int, int], float]:
+    """Symmetric uncertainty of each ordered pair of view columns; the class is one past the last.
+
+    Pairs stay ordered because SU(a, b) and SU(b, a) can differ in the last
+    bit, and a merit must add the same values a direct computation would.
+    """
+    columns = [*view.bins.T, labels]
+    return {(a, b): symmetric_uncertainty(columns[a], columns[b]) for a, b in pairs}
+
+
+def _merit(cols: Sequence[int], su: dict[tuple[int, int], float], cls: int) -> float:
+    """CFS merit of the columns ``cols`` (in subset order) from an SU table."""
+    k = len(cols)
+    r_cf = sum(su[c, cls] for c in cols) / k
+    pairs = list(combinations(cols, 2))
+    r_ff = sum(su[pair] for pair in pairs) / len(pairs) if pairs else 0.0
+    return merit_from_correlations(k, r_cf, r_ff)
 
 
 def cfs_merit(subset: Sequence[str], ds: Dataset, view: DiscretizedView) -> float:
@@ -110,18 +131,9 @@ def cfs_merit(subset: Sequence[str], ds: Dataset, view: DiscretizedView) -> floa
         if name not in view.attributes:
             raise ValueError(f"attribute {name!r} not in the discretized view")
         cols.append(view.attributes.index(name))
-    labels = ds.label_indices()
-    k = len(cols)
-    r_cf = sum(symmetric_uncertainty(view.bins[:, c], labels) for c in cols) / k
-    if k == 1:
-        r_ff = 0.0
-    else:
-        pair_sus = [
-            symmetric_uncertainty(view.bins[:, a], view.bins[:, b])
-            for a, b in combinations(cols, 2)
-        ]
-        r_ff = sum(pair_sus) / len(pair_sus)
-    return merit_from_correlations(k, r_cf, r_ff)
+    cls = len(view.attributes)
+    pairs = [(c, cls) for c in cols] + list(combinations(cols, 2))
+    return _merit(cols, _su_table(view, ds.label_indices(), pairs), cls)
 
 
 def greedy_stepwise(ds: Dataset, n_bins: int = 10) -> FeatureSubset:
@@ -132,22 +144,26 @@ def greedy_stepwise(ds: Dataset, n_bins: int = 10) -> FeatureSubset:
     addition strictly improves it. Ties fall to schema order.
     """
     view = discretize(ds, n_bins)
-    selected: list[str] = []
+    cls = len(view.attributes)
+    # both orders of every attribute pair: a candidate subset may list either first
+    pairs = [*permutations(range(cls), 2), *((c, cls) for c in range(cls))]
+    su = _su_table(view, ds.label_indices(), pairs)
+    selected: list[int] = []
     current = -math.inf
     while True:
-        best_name = None
+        best_col = None
         best_merit = -math.inf
-        for name in ds.schema:
-            if name in selected:
+        for col in range(cls):
+            if col in selected:
                 continue
-            m = cfs_merit([*selected, name], ds, view)
+            m = _merit([*selected, col], su, cls)
             if m > best_merit:
                 best_merit = m
-                best_name = name
-        if best_name is None:
+                best_col = col
+        if best_col is None:
             break
         if selected and best_merit <= current:
             break
-        selected.append(best_name)
+        selected.append(best_col)
         current = best_merit
-    return FeatureSubset(tuple(selected), current)
+    return FeatureSubset(tuple(view.attributes[c] for c in selected), current)

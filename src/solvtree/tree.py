@@ -141,9 +141,13 @@ def best_split(values, labels, params: LearnerParams = LearnerParams()) -> Split
     # Python's sum adds the gains in candidate order; np.sum would add them pairwise
     mean_gain = sum(gains.tolist()) / gains.size
     eligible = np.flatnonzero(gains >= mean_gain - _TIE_EPS)
-    ratio = ratios[eligible].tolist()
+    ratio = ratios[eligible]
+    # The running best is never more than _TIE_EPS below the running maximum,
+    # so only a strict new maximum can displace it.
+    rising = np.flatnonzero(ratio[1:] > np.maximum.accumulate(ratio[:-1])) + 1
+    ratio = ratio.tolist()
     best = 0
-    for i in range(1, len(ratio)):
+    for i in rising.tolist():
         if ratio[i] > ratio[best] + _TIE_EPS:
             best = i
     k = eligible[best]

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from solvtree import (
+    CLASS_ALPHABET,
     BalanceTargets,
+    CompanyRecord,
+    Dataset,
     GeneratorSpec,
     SolvencyClass,
     class_distribution,
@@ -17,6 +20,30 @@ from solvtree import (
 )
 
 from oracles import make_dataset
+
+
+def _smote_reference(ds, targets, k, seed):
+    """SMOTE with every neighbour list rebuilt from records, one pool per visited member."""
+    y = ds.label_indices()
+    out = list(ds.records)
+    for cls in CLASS_ALPHABET:
+        members = [ds.records[i] for i in np.flatnonzero(y == cls.value)]
+        deficit = targets[cls.value] - len(members)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, cls.value]))
+        for t in range(deficit):
+            s = t % len(members)
+            base = members[s]
+            pool = members[:s] + members[s + 1 :]
+            q = np.array([base.value(a) for a in ds.schema])
+            P = np.array([[r.value(a) for a in ds.schema] for r in pool])
+            d = np.sqrt(((P - q) ** 2).sum(axis=1))
+            neighbors = [pool[int(i)] for i in np.argsort(d, kind="stable")[:k]]
+            other = neighbors[int(rng.integers(len(neighbors)))]
+            u = float(rng.random())
+            values = tuple(a + u * (b - a) for a, b in zip(base.values, other.values))
+            car = base.car + u * (other.car - base.car)
+            out.append(CompanyRecord(None, None, None, None, car, values, cls))
+    return out
 
 
 class TestNearestNeighbors:
@@ -154,6 +181,42 @@ class TestSmote:
 
         for r in out.records:
             assert label_from_car(r.car) is r.label
+
+
+class TestSmoteReference:
+    def _with_duplicates(self, ds, every):
+        # repeated rows put several members at distance 0 from each other
+        return Dataset(ds.records + ds.records[::every], ds.schema)
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 40])
+    def test_matches_per_record_reference(self, k):
+        ds = self._with_duplicates(generate(GeneratorSpec((9, 4, 6, 12), seed=21)), 2)
+        counts = class_distribution(ds)
+        # deficits below the class size, several times it, and zero
+        targets = (counts[0] + 5, counts[1] * 4, counts[2] + 1, counts[3])
+        assert smote(ds, targets, k_neighbors=k, seed=3).records == tuple(
+            _smote_reference(ds, targets, k, seed=3)
+        )
+
+    def test_narrowed_schema_matches_reference(self):
+        base = generate(GeneratorSpec((7, 5, 8, 6), separation=1.0, seed=4))
+        for schema in (("V9", "V2"), ("V4",), ("V11", "V1", "V6", "V3")):
+            ds = self._with_duplicates(base, 3).with_schema(schema)
+            counts = class_distribution(ds)
+            targets = tuple(c + extra for c, extra in zip(counts, (3, 17, 0, 30)))
+            assert smote(ds, targets, k_neighbors=3, seed=8).records == tuple(
+                _smote_reference(ds, targets, 3, seed=8)
+            )
+
+    def test_all_tied_class_matches_reference(self):
+        # V1 ties every member with every other, so neighbours fall back to
+        # member order; V2 is outside the schema and shows which one was taken
+        rows = [(1.0, float(i)) for i in range(6)] + [(0.0, 0.0), (5.0, 5.0)]
+        ds = make_dataset(rows, [0] * 6 + [3, 3], schema=("V1",))
+        targets = (20, 0, 0, 5)
+        assert smote(ds, targets, k_neighbors=2, seed=1).records == tuple(
+            _smote_reference(ds, targets, 2, seed=1)
+        )
 
 
 class TestBalanceTargets:

@@ -1,8 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import solvtree
 from solvtree import (
     BalanceTargets,
     LearnerParams,
@@ -399,6 +404,17 @@ class TestExitCodes:
         code, out, _ = _run(capsys, "--help")
         assert code == 0
         assert "generate" in out and "cross-validate" in out
+
+    def test_module_run_gives_no_runtime_warning(self):
+        # the package must not import cli itself, or runpy warns that
+        # solvtree.cli is already in sys.modules
+        env = {**os.environ, "PYTHONPATH": str(Path(solvtree.__file__).resolve().parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "solvtree.cli", "--help"],
+            env=env, capture_output=True, text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "usage" in out.stdout
 
     def test_missing_subcommand(self, capsys):
         code, _, _ = _run(capsys)

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,6 +14,51 @@ from solvtree import (
 )
 
 from oracles import brute_force_best_subset, make_dataset
+
+
+def _entropy_reference(counts) -> float:
+    p = counts / counts.sum()
+    return float(-(p * np.log2(p)).sum())
+
+
+def _su_reference(x, y) -> float:
+    """Symmetric uncertainty with joint cells from np.unique over stacked rows."""
+    x, y = np.asarray(x), np.asarray(y)
+    hx = _entropy_reference(np.unique(x, return_counts=True)[1])
+    hy = _entropy_reference(np.unique(y, return_counts=True)[1])
+    if hx + hy == 0.0:
+        return 0.0
+    _, joint = np.unique(np.stack([x, y], axis=1), axis=0, return_counts=True)
+    gain = max(0.0, hx + hy - _entropy_reference(joint))
+    return min(1.0, 2.0 * gain / (hx + hy))
+
+
+def _merit_reference(names, ds, view) -> float:
+    """CFS merit with every SU recomputed in subset order, pairs as combinations form them."""
+    cols = [view.attributes.index(n) for n in names]
+    labels = ds.label_indices()
+    k = len(cols)
+    r_cf = sum(_su_reference(view.bins[:, c], labels) for c in cols) / k
+    pair_sus = [_su_reference(view.bins[:, a], view.bins[:, b]) for a, b in combinations(cols, 2)]
+    r_ff = sum(pair_sus) / len(pair_sus) if pair_sus else 0.0
+    return merit_from_correlations(k, r_cf, r_ff)
+
+
+def _greedy_reference(ds, n_bins):
+    """Forward search over _merit_reference: best strict improvement, ties to schema order."""
+    view = discretize(ds, n_bins)
+    selected, current = [], -math.inf
+    while True:
+        best_name, best_merit = None, -math.inf
+        for name in ds.schema:
+            if name not in selected:
+                m = _merit_reference([*selected, name], ds, view)
+                if m > best_merit:
+                    best_name, best_merit = name, m
+        if best_name is None or (selected and best_merit <= current):
+            return tuple(selected), current
+        selected.append(best_name)
+        current = best_merit
 
 
 class TestDiscretize:
@@ -75,6 +121,31 @@ class TestSymmetricUncertainty:
         b = symmetric_uncertainty(y, x)
         assert a == pytest.approx(b, abs=1e-12)
         assert 0.0 <= a <= 1.0
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ([-3, -1, -3, 2, -1, 0, -3, 2], [5, -5, 5, 5, -5, 0, 0, 5]),
+            ([-2.5, 0.125, -2.5, 3.0, 0.125, 1e-9], [1.5, 1.5, -7.25, -7.25, 0.0, 1.5]),
+            ([-1, 0, 1, 0, -1, 1, 1], [0.5, -0.5, 0.5, 0.25, 0.25, -0.5, 0.5]),
+            (["b", "a", "c", "a", "b", "a"], ["x", "yy", "x", "x", "yy", "z"]),
+            ([4, 4, 4, 4, 4], [0, 1, 0, 2, 1]),
+            (["k"] * 5, ["q", "r", "q", "r", "s"]),
+            ([1.5] * 4, [-2.0] * 4),
+        ],
+    )
+    def test_matches_stacked_unique_reference(self, x, y):
+        assert symmetric_uncertainty(x, y) == _su_reference(x, y)
+        assert symmetric_uncertainty(y, x) == _su_reference(y, x)
+
+    def test_matches_stacked_unique_reference_on_random_columns(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n = int(rng.integers(1, 300))
+            x = rng.integers(-6, int(rng.integers(-5, 12)), size=n)
+            y = rng.integers(0, int(rng.integers(1, 15)), size=n) * 0.5 - 3.0
+            assert symmetric_uncertainty(x, y) == _su_reference(x, y)
+            assert symmetric_uncertainty(y, x) == _su_reference(y, x)
 
     def test_bin_relabeling_invariance(self):
         x = np.array([0, 1, 2, 0, 1, 2, 0, 0])
@@ -172,3 +243,31 @@ class TestGreedyStepwise:
             for i in range(len(result.selected))
         ]
         assert all(b >= a - 1e-12 for a, b in zip(merits, merits[1:]))
+
+    def test_matches_forward_search_over_reference_merits(self):
+        # tie-heavy columns (few distinct values, many rows) over shuffled
+        # schemas; merits are compared with ==, so SU must be taken over
+        # ordered pairs in selection order, as the reference does
+        rng = np.random.default_rng(13)
+        out_of_schema_order = 0
+        for trial in range(12):
+            n = int(rng.integers(60, 250))
+            labels = rng.integers(0, 4, size=n)
+            cols = []
+            for _ in range(8):
+                noise = rng.integers(0, int(rng.integers(2, 6)), size=n)
+                weight = int(rng.integers(0, 3))
+                cols.append(weight * labels + noise)
+            rows = [tuple(float(v) for v in row) for row in np.column_stack(cols)]
+            schema = tuple(rng.permutation([f"V{i}" for i in range(1, 9)]))
+            ds = make_dataset(rows, labels, schema)
+            n_bins = int(rng.choice([3, 5, 10]))
+            result = greedy_stepwise(ds, n_bins=n_bins)
+            expected = _greedy_reference(ds, n_bins)
+            assert (result.selected, result.merit) == expected
+            view = discretize(ds, n_bins=n_bins)
+            for subset in (result.selected, result.selected[::-1]):
+                assert cfs_merit(subset, ds, view) == _merit_reference(subset, ds, view)
+            positions = [ds.schema.index(name) for name in result.selected]
+            out_of_schema_order += positions != sorted(positions)
+        assert out_of_schema_order >= 3
