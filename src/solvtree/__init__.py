@@ -61,7 +61,15 @@ from .tree import (
     predict,
     prune,
 )
-from .tree_io import ModelFormatError, parse, read_model, render_text, serialize, write_model
+from .tree_io import (
+    ModelFormatError,
+    parse,
+    read_model,
+    render_lines,
+    render_text,
+    serialize,
+    write_model,
+)
 
 __all__ = [
     "ATTRIBUTE_NAMES",
@@ -109,6 +117,7 @@ __all__ = [
     "predict",
     "prune",
     "read_model",
+    "render_lines",
     "render_report",
     "render_text",
     "report_from_predictions",

@@ -12,6 +12,7 @@ import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Iterable
 
 from .balance import BalanceTargets, resample, smote
 from .dataset import (
@@ -26,7 +27,7 @@ from .datagen import GeneratorSpec, generate
 from .evaluate import cross_validate, evaluate_on, render_report, summary_lines
 from .features import greedy_stepwise
 from .tree import LearnerParams, grow, predict
-from .tree_io import ModelFormatError, read_model, render_text, serialize
+from .tree_io import ModelFormatError, read_model, render_lines, serialize
 
 SEED_ENV_VAR = "SOLVTREE_SEED"
 
@@ -162,10 +163,16 @@ def _input_path(text: str) -> str:
 
 
 def _write_text(path: str | None, text: str) -> None:
+    _write_lines(path, (text,))
+
+
+def _write_lines(path: str | None, lines: Iterable[str]) -> None:
+    """Write text chunks to ``path`` (stdout for None or '-') as they come."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
 
 
 def _write_dataset(ds: Dataset, path: str | None) -> None:
@@ -340,7 +347,7 @@ def _cmd_predict(args) -> int:
 def _cmd_render_tree(args) -> int:
     cfg = _config(args)
     model = read_model(_resolve_input(args, cfg, "model"))
-    _write_text(args.output or cfg.paths.get("output"), render_text(model))
+    _write_lines(args.output or cfg.paths.get("output"), render_lines(model))
     return 0
 
 

@@ -9,16 +9,19 @@ replacement driven by an inverted binomial tail bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import exp, lgamma, log, log1p, nextafter, pi, sqrt
+from statistics import NormalDist
 from typing import Union
 
 import numpy as np
-from scipy import special
 
 from .dataset import CLASS_ALPHABET, N_CLASSES, CompanyRecord, Dataset, SolvencyClass
 
 # Score comparisons treat differences within this slack as ties so exact
 # mathematical ties are not broken by rounding noise.
 _TIE_EPS = 1e-12
+
+_HALF_LOG_2PI = 0.5 * log(2.0 * pi)
 
 
 @dataclass(frozen=True)
@@ -212,8 +215,8 @@ def pessimistic_error(misclassified: int, n: int, cf: float) -> float:
     """Upper confidence limit on a node's true error rate.
 
     Returns the p solving P[Binomial(n, p) <= misclassified] = cf. Zero
-    errors use 1 - cf**(1/n) and n errors give 1; everything else is the
-    inverse regularized incomplete beta of :func:`invert_binomial_tail`.
+    errors use 1 - cf**(1/n) and n errors give 1; everything else is
+    solved by :func:`invert_binomial_tail`.
     """
     if not 0.0 < cf < 1.0:
         raise ValueError(f"cf must be in (0, 1), got {cf}")
@@ -230,45 +233,97 @@ def pessimistic_error(misclassified: int, n: int, cf: float) -> float:
     return invert_binomial_tail(e, n, cf)
 
 
+def _stirling_error(k: int) -> float:
+    """log(k!) - log(sqrt(2 pi k) (k/e)**k), by its asymptotic series above 15."""
+    if k <= 15:
+        return lgamma(k + 1.0) - (k + 0.5) * log(k) + k - _HALF_LOG_2PI
+    k2 = 1.0 / (k * k)
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - k2 / 1188) * k2) * k2) * k2) / k
+
+
 def invert_binomial_tail(e: int, n: int, cf: float) -> float:
     """Solve P[Binomial(n, p) <= e] = cf for p, where 0 <= e < n.
 
-    P[Binomial(n, p) <= e] = I_{1-p}(n - e, e + 1) = 1 - I_p(e + 1, n - e),
-    so p is the inverse regularized incomplete beta function at 1 - cf.
+    Safeguarded Newton on log F(p), F(p) = P[Binomial(n, p) <= e], inside
+    a bracket that bisects whenever a step leaves it. F is pmf(e) * S with
+    S = sum over k <= e of pmf(k) / pmf(e), summed downward from k = e, and
+    d/dp log F = -(n - e) / (q S). log pmf(e) is taken in Loader's
+    saddle-point form (Stirling errors plus deviance terms), which keeps
+    full precision where log C(n, e) and e log p cancel. The start is the
+    normal approximation to the Beta(e + 1, n - e) quantile (Abramowitz &
+    Stegun 26.5.22). Iteration stops once a step is below 1e-9 of min(p, q)
+    or no longer moves p.
     """
-    return float(special.betaincinv(e + 1, n - e, 1.0 - cf))
-
-
-def _prune(node: TreeNode, cf: float) -> tuple[TreeNode, tuple[int, ...], float]:
-    """Prune a subtree; returns (node, class counts, summed leaf error bound)."""
-    if isinstance(node, Leaf):
-        n = sum(node.class_counts)
-        if n == 0:
-            return node, node.class_counts, 0.0
-        e = n - max(node.class_counts)
-        return node, node.class_counts, n * pessimistic_error(e, n, cf)
-    left, left_counts, left_error = _prune(node.left, cf)
-    right, right_counts, right_error = _prune(node.right, cf)
-    counts = tuple(a + b for a, b in zip(left_counts, right_counts))
-    n = sum(counts)
-    e = n - max(counts)
-    subtree_error = left_error + right_error
-    leaf_error = n * pessimistic_error(e, n, cf)
-    if leaf_error <= subtree_error:
-        return _leaf_from_counts(counts), counts, leaf_error
-    return Split(node.attribute, node.threshold, left, right), counts, subtree_error
+    if e == 0:  # the pmf form below needs e >= 1
+        return 1.0 - cf ** (1.0 / n)
+    m = n - e
+    y = NormalDist().inv_cdf(cf)
+    lam = (y * y - 3.0) / 6.0
+    ra, rb = 1.0 / (2 * e + 1), 1.0 / (2 * m - 1)
+    h = 2.0 / (ra + rb)
+    w = y * sqrt(h + lam) / h - (rb - ra) * (lam + 5.0 / 6.0 - 2.0 / (3.0 * h))
+    p = min((e + 1) / (e + 1 + m * exp(2.0 * w)), nextafter(1.0, 0.0))
+    # log pmf(e) = c - bd0(e, np) - bd0(m, nq), with bd0(x, mu) = x log(x / mu) + mu - x
+    c = (0.5 * log(n / (e * m)) - _HALF_LOG_2PI - log(cf)
+         + _stirling_error(n) - _stirling_error(e) - _stirling_error(m))
+    lo, hi = 0.0, 1.0
+    while True:
+        q = 1.0 - p
+        odds = q / p
+        s = term = 1.0  # near the root the terms fall away from k = e, as cf <= 0.5
+        for k in range(e, 0, -1):
+            term *= k / (n - k + 1) * odds
+            s += term
+            if term < 1e-17 * s:
+                break
+        de, dm = e - n * p, m - n * q
+        f = c - e * log1p(de / (n * p)) + de - m * log1p(dm / (n * q)) + dm + log(s)
+        step = f * q * s / m
+        if abs(step) < 1e-9 * min(p, q) or p + step == p:
+            return p + step
+        if f > 0.0:
+            lo = p
+        else:
+            hi = p
+        p += step
+        if not lo < p < hi:
+            p = 0.5 * (lo + hi)
+            if p == lo or p == hi:  # no float left inside the bracket
+                return p
 
 
 def prune(root: TreeNode, cf: float) -> TreeNode:
     """Bottom-up leaf replacement wherever it does not raise the error bound.
 
     At each internal node the estimated subtree error (sum over its leaves
-    of n * pessimistic_error) is compared with the error of a single
-    majority leaf; the leaf wins ties. One pass carries each subtree's
-    class counts and error sum upward, so no subtree is walked twice. The
-    pass is deterministic and idempotent.
+    of n * pessimistic_error, left subtree first) is compared with the
+    error of a single majority leaf; the leaf wins ties. One post-order
+    walk on an explicit stack carries each subtree's pruned node, class
+    counts and error sum upward, so no subtree is walked twice and depth
+    is not limited by recursion. The pass is deterministic and idempotent.
     """
-    return _prune(root, cf)[0]
+    done: list[tuple[TreeNode, tuple[int, ...], float]] = []  # pruned subtrees, left before right
+    stack: list[tuple[TreeNode, bool]] = [(root, False)]
+    while stack:
+        node, children_done = stack.pop()
+        if isinstance(node, Leaf):
+            n = sum(node.class_counts)
+            error = 0.0 if n == 0 else n * pessimistic_error(n - max(node.class_counts), n, cf)
+            done.append((node, node.class_counts, error))
+        elif not children_done:
+            stack += ((node, True), (node.right, False), (node.left, False))
+        else:
+            right, right_counts, right_error = done.pop()
+            left, left_counts, left_error = done.pop()
+            counts = tuple(a + b for a, b in zip(left_counts, right_counts))
+            n = sum(counts)
+            subtree_error = left_error + right_error
+            leaf_error = n * pessimistic_error(n - max(counts), n, cf)
+            if leaf_error <= subtree_error:
+                done.append((_leaf_from_counts(counts), counts, leaf_error))
+            else:
+                done.append((Split(node.attribute, node.threshold, left, right), counts, subtree_error))
+    return done[0][0]
 
 
 def predict(model: TreeModel, record: CompanyRecord) -> tuple[SolvencyClass, np.ndarray]:
@@ -283,6 +338,10 @@ def predict(model: TreeModel, record: CompanyRecord) -> tuple[SolvencyClass, np.
 
 def node_count(node: TreeNode) -> int:
     """Number of nodes (splits plus leaves) in a subtree."""
-    if isinstance(node, Leaf):
-        return 1
-    return 1 + node_count(node.left) + node_count(node.right)
+    count, stack = 0, [node]
+    while stack:
+        node = stack.pop()
+        count += 1
+        if isinstance(node, Split):
+            stack += (node.left, node.right)
+    return count

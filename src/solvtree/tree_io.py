@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterator
 
 from .dataset import ATTRIBUTE_NAMES, N_CLASSES
 from .tree import Leaf, LearnerParams, Split, TreeModel, TreeNode, _leaf_from_counts
@@ -165,11 +166,16 @@ def _leaf_text(leaf: Leaf) -> str:
     return f"{leaf.predicted.csv_name} [{' '.join(str(c) for c in leaf.class_counts)}]"
 
 
-def render_text(model: TreeModel) -> str:
-    """Human-readable indented rendering, one branch per line."""
+def render_lines(model: TreeModel) -> Iterator[str]:
+    """Human-readable indented rendering, one branch per line, yielded as it goes.
+
+    Each line ends in a newline. Indentation grows with depth, so the text
+    of a deep chain grows with the square of its depth; yielding lines
+    keeps memory at one line.
+    """
     if isinstance(model.root, Leaf):
-        return _leaf_text(model.root) + "\n"
-    lines: list[str] = []
+        yield _leaf_text(model.root) + "\n"
+        return
 
     def branches(node: Split, depth: int) -> list[tuple[Split, str, TreeNode, int]]:
         return [(node, ">", node.right, depth), (node, "<=", node.left, depth)]  # left pops first
@@ -179,11 +185,15 @@ def render_text(model: TreeModel) -> str:
         node, op, child, depth = stack.pop()
         head = f"{'|   ' * depth}{node.attribute} {op} {node.threshold:.6g}"
         if isinstance(child, Leaf):
-            lines.append(f"{head}: {_leaf_text(child)}")
+            yield f"{head}: {_leaf_text(child)}\n"
         else:
-            lines.append(f"{head}:")
+            yield f"{head}:\n"
             stack += branches(child, depth + 1)
-    return "\n".join(lines) + "\n"
+
+
+def render_text(model: TreeModel) -> str:
+    """The whole of :func:`render_lines` as one string."""
+    return "".join(render_lines(model))
 
 
 def write_model(model: TreeModel, path) -> None:

@@ -5,11 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings, strategies as st
+from scipy import special, stats
 
 import solvtree
+import solvtree.tree
 
 from solvtree import (
+    GeneratorSpec,
     LearnerParams,
     Leaf,
     SolvencyClass,
@@ -17,6 +20,7 @@ from solvtree import (
     TreeModel,
     best_split,
     entropy,
+    generate,
     grow,
     grow_unpruned,
     invert_binomial_tail,
@@ -24,6 +28,7 @@ from solvtree import (
     pessimistic_error,
     predict,
     prune,
+    serialize,
 )
 
 from oracles import make_dataset, oracle_best_split, random_split_instance
@@ -61,24 +66,41 @@ class TestPessimisticError:
             closed = 1 - 0.25 ** (1 / n)
             assert invert_binomial_tail(0, n, 0.25) == pytest.approx(closed, abs=1e-9)
 
-    @pytest.mark.parametrize("cf", [0.01, 0.25, 0.5])
+    @pytest.mark.parametrize("cf", [0.0001, 0.01, 0.25, 0.5])
     def test_tail_inversion_grid(self, cf):
         pairs = [(e, n) for n in range(1, 41) for e in range(1, n)]
-        for n in (616, 2464):
+        for n in (616, 2464, 9856):
             spread = set(np.linspace(1, n - 1, 25).astype(int).tolist()) | {2, 3, n - 2}
             pairs += [(e, n) for e in sorted(spread)]
         e, n = np.array(pairs).T
         p = np.array([invert_binomial_tail(a, b, cf) for a, b in pairs])
         assert np.all((p > 0.0) & (p < 1.0))
         assert np.max(np.abs(stats.binom.cdf(e, n, p) - cf)) <= 1e-9
+        reference = special.betaincinv(e + 1, n - e, 1.0 - cf)
+        assert np.max(np.abs(p - reference) / reference) <= 1e-12
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        code = "import sys, solvtree; print('scipy.stats' in sys.modules)"
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(3, 10_000).flatmap(lambda n: st.tuples(st.integers(1, n - 2), st.just(n))),
+        # below ~1e-12 the root can lie closer to 1 than a float can
+        st.floats(1e-10, 0.5),
+    )
+    def test_tail_inversion_in_unit_interval_and_increasing_in_errors(self, en, cf):
+        e, n = en
+        p, p_next = invert_binomial_tail(e, n, cf), invert_binomial_tail(e + 1, n, cf)
+        assert 0.0 < p < p_next < 1.0
+
+    def test_import_and_cli_leave_scipy_unloaded(self):
         env = {**os.environ, "PYTHONPATH": str(Path(solvtree.__file__).resolve().parents[1])}
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "False"
+        for args in (["-c", "import solvtree"], ["-m", "solvtree.cli", "--help"]):
+            out = subprocess.run(
+                [sys.executable, "-X", "importtime", *args],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            # -X importtime writes "import time: self | cumulative | module" per import
+            modules = [line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines()]
+            assert "solvtree" in modules
+            assert [m for m in modules if m.split(".")[0] == "scipy"] == []
 
     def test_strictly_increasing_in_errors(self):
         values = [pessimistic_error(e, 30, 0.25) for e in range(31)]
@@ -261,6 +283,15 @@ class TestPrune:
         )
         assert prune(subtree, 0.25) == subtree
 
+    def test_leaf_wins_ties(self):
+        # an empty child adds 0.0, so the subtree bound equals the leaf bound exactly
+        subtree = Split(
+            "V1", 0.5,
+            Leaf((0, 0, 0, 0), SolvencyClass.INSOLVENCY),
+            Leaf((3, 1, 0, 0), SolvencyClass.INSOLVENCY),
+        )
+        assert prune(subtree, 0.25) == Leaf((3, 1, 0, 0), SolvencyClass.INSOLVENCY)
+
     def test_idempotent_on_random_trees(self):
         rng = np.random.default_rng(31)
         for _ in range(25):
@@ -269,6 +300,38 @@ class TestPrune:
             root = grow_unpruned(make_dataset(rows, labels)).root
             once = prune(root, 0.25)
             assert prune(once, 0.25) == once
+
+    def test_matches_pruning_with_reference_bound(self, monkeypatch):
+        def reference(e, n, cf):
+            return float(special.betaincinv(e + 1, n - e, 1.0 - cf))
+
+        def pruned_texts():
+            return [
+                serialize(TreeModel(prune(model.root, cf), LearnerParams(cf), model.schema,
+                                    model.training_fingerprint))
+                for model in unpruned for cf in (0.05, 0.25, 0.5)
+            ]
+
+        unpruned = [
+            grow_unpruned(generate(GeneratorSpec((20, 20, 20, 20), separation, seed=seed)))
+            for seed in range(40) for separation in (0.5, 1.0, 2.0)
+        ]
+        texts = pruned_texts()
+        monkeypatch.setattr(solvtree.tree, "invert_binomial_tail", reference)
+        assert texts == pruned_texts()
+
+    @pytest.mark.parametrize("weight, kept", [(1, 3), (2, 5999)])
+    def test_deep_chain_prunes_and_counts(self, weight, kept):
+        # 3000 splits, each peeling a pure leaf off a mixed right spine; the
+        # kept sizes are those of the recursive pass run with a raised limit
+        node = Leaf((weight, 0, 0, weight), SolvencyClass.INSOLVENCY)
+        for i in range(3000):
+            pure = (0, 0, 0, weight) if i % 2 else (weight, 0, 0, 0)
+            node = Split("V1", float(3000 - i), Leaf(pure, SolvencyClass(3 if i % 2 else 0)), node)
+        assert node_count(node) == 6001
+        pruned = prune(node, 0.25)
+        assert node_count(pruned) == kept
+        assert node_count(prune(pruned, 0.25)) == kept
 
     def test_weaker_confidence_never_grows_the_tree(self):
         rng = np.random.default_rng(13)

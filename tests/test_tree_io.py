@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -174,3 +176,16 @@ class TestDeepModels:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 3000
         assert lines[-1] == "|   " * 1499 + "V1 > 1499: strong [0 0 0 1]"
+
+    def test_render_tree_memory_stays_below_output_size(self, tmp_path):
+        path = tmp_path / "chain.tree"
+        path.write_text(_chain_text(1500), encoding="utf-8")
+        out = tmp_path / "chain.txt"
+        tracemalloc.start()
+        try:
+            assert main(["render-tree", "--model", str(path), "-o", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the lines are written as they are rendered, never held as one string
+        assert peak < out.stat().st_size / 4
