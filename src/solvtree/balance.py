@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,8 +34,8 @@ class BalanceTargets:
             raise ValueError(f"mode must be 'resample' or 'smote', got {self.mode!r}")
         if not 0.0 <= self.bias_to_uniform <= 1.0:
             raise ValueError(f"bias_to_uniform must be in [0, 1], got {self.bias_to_uniform}")
-        if self.sample_size_percent <= 0:
-            raise ValueError(f"sample_size_percent must be > 0, got {self.sample_size_percent}")
+        if not 0 < self.sample_size_percent < math.inf:
+            raise ValueError(f"sample_size_percent must be finite and > 0, got {self.sample_size_percent}")
         if self.k_neighbors < 1:
             raise ValueError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
         if self.mode == "smote":
@@ -64,8 +65,8 @@ def resample(
     """
     if not 0.0 <= bias_to_uniform <= 1.0:
         raise ValueError(f"bias_to_uniform must be in [0, 1], got {bias_to_uniform}")
-    if sample_size_percent <= 0:
-        raise ValueError(f"sample_size_percent must be > 0, got {sample_size_percent}")
+    if not 0 < sample_size_percent < math.inf:
+        raise ValueError(f"sample_size_percent must be finite and > 0, got {sample_size_percent}")
     n = len(ds)
     if n == 0:
         raise ValueError("cannot resample an empty dataset")

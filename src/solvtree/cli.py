@@ -10,13 +10,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
 
 from .balance import BalanceTargets, resample, smote
 from .dataset import (
     ATTRIBUTE_NAMES,
+    CLASS_ALPHABET,
     CsvFormatError,
     Dataset,
     label_from_car,
@@ -26,7 +27,7 @@ from .dataset import (
 from .datagen import GeneratorSpec, generate
 from .evaluate import cross_validate, evaluate_on, render_report, summary_lines
 from .features import greedy_stepwise
-from .tree import LearnerParams, grow, predict
+from .tree import LearnerParams, _route, grow
 from .tree_io import ModelFormatError, read_model, render_lines, serialize
 
 SEED_ENV_VAR = "SOLVTREE_SEED"
@@ -44,29 +45,7 @@ class PipelineConfig:
     paths: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        d = {
-            "seed": self.seed,
-            "folds": self.folds,
-            "feature_bins": self.feature_bins,
-            "learner": {
-                "confidence_factor": self.learner.confidence_factor,
-                "min_leaf": self.learner.min_leaf,
-                "max_depth": self.learner.max_depth,
-            },
-            "balance": None,
-            "paths": dict(self.paths),
-        }
-        if self.balance is not None:
-            d["balance"] = {
-                "mode": self.balance.mode,
-                "bias_to_uniform": self.balance.bias_to_uniform,
-                "sample_size_percent": self.balance.sample_size_percent,
-                "target_counts": list(self.balance.target_counts)
-                if self.balance.target_counts is not None
-                else None,
-                "k_neighbors": self.balance.k_neighbors,
-            }
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "PipelineConfig":
@@ -128,7 +107,7 @@ def _field(section: dict, key: str, convert, default):
         return None
     try:
         return convert(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"config key {key!r} has a bad value {value!r}") from None
 
 
@@ -332,14 +311,12 @@ def _cmd_predict(args) -> int:
     cfg = _config(args)
     model = read_model(_resolve_input(args, cfg, "model"))
     ds = load_csv(_resolve_input(args, cfg), allow_duplicates=True)
-    lines = []
-    for r in ds.records:
-        cls, probs = predict(model, r)
-        cid = r.company_id or ""
-        year = "" if r.year is None else str(r.year)
-        lines.append(
-            f"{cid},{year},{cls.csv_name}," + ",".join(repr(float(p)) for p in probs)
-        )
+    classes, freqs = _route(model.root, [r.values for r in ds.records])
+    lines = [
+        f"{r.company_id or ''},{'' if r.year is None else r.year},{CLASS_ALPHABET[c].csv_name},"
+        + ",".join(map(repr, p))
+        for r, c, p in zip(ds.records, classes.tolist(), freqs.tolist())
+    ]
     _write_text(args.output or cfg.paths.get("output"), "\n".join(lines) + "\n")
     return 0
 

@@ -148,10 +148,14 @@ class CompanyRecord:
         return self.company_id is None
 
     def value(self, attribute: str) -> float:
-        idx = _ATTR_INDEX.get(attribute)
-        if idx is None:
-            raise ValueError(f"unknown attribute {attribute!r}")
-        return self.values[idx]
+        return self.values[attribute_column(attribute)]
+
+
+def attribute_column(attribute: str) -> int:
+    """Position of a named attribute in ``ATTRIBUTE_NAMES`` order."""
+    if attribute not in _ATTR_INDEX:
+        raise ValueError(f"unknown attribute {attribute!r}")
+    return _ATTR_INDEX[attribute]
 
 
 @dataclass(frozen=True)
@@ -204,6 +208,15 @@ class Dataset:
 def class_distribution(ds: Dataset) -> tuple[int, int, int, int]:
     """Per-class record counts in alphabet order; requires a labeled dataset."""
     return tuple(np.bincount(ds.label_indices(), minlength=N_CLASSES).tolist())
+
+
+def _sum_in_order(values) -> float:
+    """Sum floats left to right, one rounding per addition, as ``sum`` did before Python 3.12.
+
+    3.12's ``sum`` is compensated and np.sum is pairwise; either can move a mean
+    that decides output. Adding 0.0 maps a -0.0 total to 0.0, as ``sum`` does.
+    """
+    return float(np.add.accumulate(np.asarray(values, dtype=float))[-1]) + 0.0
 
 
 def _round_half_up(x: float) -> int:
@@ -286,11 +299,15 @@ def load_csv(source, expect_labels: bool = False, allow_duplicates: bool = False
 
     Raises :class:`CsvFormatError` naming the offending row and column.
     """
-    fh = _open_text(source)
+    rows: list[list[str]] = []
     try:
-        rows = list(csv.reader(fh))
-    finally:
-        fh.close()
+        with _open_text(source) as fh:
+            for cells in csv.reader(fh):
+                rows.append(cells)
+    except csv.Error as exc:  # such as a cell over the csv module's field size limit
+        raise CsvFormatError(str(exc), row=len(rows) + 1) from None
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"not valid UTF-8: {exc.reason}") from None
     if not rows:
         raise CsvFormatError("empty file, expected a header row", row=1)
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .balance import BalanceTargets, resample, smote
 from .dataset import CLASS_ALPHABET, N_CLASSES, Dataset, SolvencyClass, class_distribution
-from .tree import LearnerParams, TreeModel, grow, predict
+from .tree import LearnerParams, TreeModel, _route, grow
 
 
 @dataclass(frozen=True)
@@ -101,10 +101,8 @@ def report_from_predictions(
     if len(a_idx) != len(p_idx):
         raise ValueError("actual and predicted lengths differ")
     n = len(a_idx)
-    cells = [[0] * N_CLASSES for _ in range(N_CLASSES)]
-    for a, p in zip(a_idx, p_idx):
-        cells[a][p] += 1
-    matrix = ConfusionMatrix(tuple(tuple(r) for r in cells))
+    cells = np.bincount(a_idx * N_CLASSES + p_idx, minlength=N_CLASSES * N_CLASSES)
+    matrix = ConfusionMatrix(cells.reshape(N_CLASSES, N_CLASSES))
     recalls = tuple(
         (matrix.cells[c][c] / rs) if rs else math.nan
         for c, rs in enumerate(matrix.row_sums())
@@ -191,10 +189,9 @@ def cross_validate(
     the whole run is deterministic given its seed.
     """
     folds = stratified_folds(ds, k, seed)
+    values = np.array([r.values for r in ds.records])
     warnings: list[str] = []
-    actual: list[int] = []
-    predicted: list[int] = []
-    probs: list[np.ndarray] = []
+    routed = []  # (class indices, frequencies) of each fold's held-out rows
     for i, fold in enumerate(folds):
         holdout = set(fold)
         train = Dataset(
@@ -203,13 +200,9 @@ def cross_validate(
         if balance is not None:
             train, notes = _balanced_training(train, balance, _fold_seed(seed, i), i)
             warnings.extend(notes)
-        model = grow(train, params)
-        for j in fold:
-            cls, p = predict(model, ds.records[j])
-            actual.append(ds.records[j].label.value)
-            predicted.append(cls.value)
-            probs.append(p)
-    return report_from_predictions(actual, predicted, np.array(probs), warnings)
+        routed.append(_route(grow(train, params).root, values[fold]))
+    predicted, probs = map(np.concatenate, zip(*routed))
+    return report_from_predictions(ds.label_indices()[np.concatenate(folds)], predicted, probs, warnings)
 
 
 def evaluate_on(model: TreeModel, test: Dataset) -> EvalReport:
@@ -219,17 +212,9 @@ def evaluate_on(model: TreeModel, test: Dataset) -> EvalReport:
         raise ValueError(f"test set schema lacks model attributes: {', '.join(missing)}")
     if len(test) == 0:
         raise ValueError("test set is empty")
-    actual = []
-    predicted = []
-    probs = []
-    for i, r in enumerate(test.records):
-        if r.label is None:
-            raise ValueError(f"test record {i} is unlabeled")
-        cls, p = predict(model, r)
-        actual.append(r.label.value)
-        predicted.append(cls.value)
-        probs.append(p)
-    return report_from_predictions(actual, predicted, np.array(probs))
+    actual = test.label_indices()
+    predicted, probs = _route(model.root, [r.values for r in test.records])
+    return report_from_predictions(actual, predicted, probs)
 
 
 _SHORT = {cls: cls.name[0] for cls in CLASS_ALPHABET}  # I, W, M, S

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _sum_in_order
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,9 +108,9 @@ def _su_table(view: DiscretizedView, labels: np.ndarray, pairs) -> dict[tuple[in
 def _merit(cols: Sequence[int], su: dict[tuple[int, int], float], cls: int) -> float:
     """CFS merit of the columns ``cols`` (in subset order) from an SU table."""
     k = len(cols)
-    r_cf = sum(su[c, cls] for c in cols) / k
+    r_cf = _sum_in_order([su[c, cls] for c in cols]) / k
     pairs = list(combinations(cols, 2))
-    r_ff = sum(su[pair] for pair in pairs) / len(pairs) if pairs else 0.0
+    r_ff = _sum_in_order([su[pair] for pair in pairs]) / len(pairs) if pairs else 0.0
     return merit_from_correlations(k, r_cf, r_ff)
 
 

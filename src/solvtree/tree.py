@@ -8,14 +8,15 @@ replacement driven by an inverted binomial tail bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import exp, lgamma, log, log1p, nextafter, pi, sqrt
 from statistics import NormalDist
-from typing import Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
 from .dataset import CLASS_ALPHABET, N_CLASSES, CompanyRecord, Dataset, SolvencyClass
+from .dataset import _sum_in_order, attribute_column
 
 # Score comparisons treat differences within this slack as ties so exact
 # mathematical ties are not broken by rounding noise.
@@ -113,8 +114,9 @@ def best_split(values, labels, params: LearnerParams = LearnerParams()) -> Split
     when no threshold satisfies the min_leaf constraint.
 
     ``values`` is an (n, k) array-like of attribute columns, ``labels`` the
-    per-row class indices. Every candidate is scored in one array pass from
-    the cumulative class counts of each attribute's sorted rows.
+    per-row class indices. All attributes are sorted at once, and every
+    candidate is scored in one 2-D array pass from the cumulative class
+    counts of the sorted rows.
     """
     X = np.asarray(values, dtype=float)
     y = np.asarray(labels, dtype=np.int64)
@@ -125,24 +127,24 @@ def best_split(values, labels, params: LearnerParams = LearnerParams()) -> Split
     if node_counts.max() == n:
         return None
     h_node = _entropy_rows(node_counts[None, :], n)[0]
-    onehot = np.eye(N_CLASSES, dtype=np.int64)[y]
-
-    cuts = []  # per attribute: attribute index, thresholds, left sizes, left class counts
-    for a in range(X.shape[1]):
-        order = np.argsort(X[:, a], kind="stable")
-        vs = X[order, a]
-        nl = np.flatnonzero(vs[:-1] < vs[1:]) + 1  # rows left of each distinct-value cut
-        nl = nl[(nl >= params.min_leaf) & (n - nl >= params.min_leaf)]
-        cuts.append((np.full(nl.size, a), vs[nl - 1], nl, onehot[order].cumsum(axis=0)[nl - 1]))
-    attrs, thresholds, nl, left = map(np.concatenate, zip(*cuts))
-    if nl.size == 0:
+    # a cut after sorted row i leaves nl = i + 1 rows on the left; min_leaf bounds i
+    lo, hi = params.min_leaf - 1, n - params.min_leaf
+    if lo >= hi:
         return None
+    order = np.argsort(X, axis=0, kind="stable")
+    vs = np.take_along_axis(X, order, axis=0)
+    attrs, cut = np.nonzero((vs[lo:hi] < vs[lo + 1:hi + 1]).T)  # attribute-major candidate order
+    if cut.size == 0:
+        return None
+    cut += lo
+    thresholds, nl = vs[cut, attrs], cut + 1
+    left = np.eye(N_CLASSES, dtype=np.int32)[y[order[:hi]]]  # one-hot of the sorted labels
+    left = np.cumsum(left, axis=0, dtype=np.int32, out=left)[cut, attrs]
     nr = n - nl
     h_left, h_right = _entropy_rows(left, nl), _entropy_rows(node_counts - left, nr)
     gains = h_node - nl / n * h_left - nr / n * h_right
     ratios = gains / _entropy_rows(np.column_stack((nl, nr)), n)
-    # Python's sum adds the gains in candidate order; np.sum would add them pairwise
-    mean_gain = sum(gains.tolist()) / gains.size
+    mean_gain = _sum_in_order(gains) / gains.size
     eligible = np.flatnonzero(gains >= mean_gain - _TIE_EPS)
     ratio = ratios[eligible]
     # The running best is never more than _TIE_EPS below the running maximum,
@@ -164,51 +166,66 @@ def _leaf_from_counts(counts) -> Leaf:
     return Leaf(counts, predicted)
 
 
-def _grow_node(
-    X: np.ndarray, y: np.ndarray, schema: tuple[str, ...], params: LearnerParams, depth: int
-) -> TreeNode:
-    counts = np.bincount(y, minlength=N_CLASSES)
-    if counts.max() == counts.sum():
-        return _leaf_from_counts(counts)
-    if params.max_depth is not None and depth >= params.max_depth:
-        return _leaf_from_counts(counts)
-    cand = best_split(X, y, params)
-    if cand is None:
-        return _leaf_from_counts(counts)
-    mask = X[:, cand.attribute_index] <= cand.threshold
-    return Split(
-        schema[cand.attribute_index],
-        cand.threshold,
-        _grow_node(X[mask], y[mask], schema, params, depth + 1),
-        _grow_node(X[~mask], y[~mask], schema, params, depth + 1),
-    )
+def _grow_preorder(
+    X: np.ndarray, y: np.ndarray, schema: tuple[str, ...], params: LearnerParams
+) -> Iterator[Leaf | tuple[str, float]]:
+    """Grow from an explicit stack of (row indices, depth), yielding nodes in pre-order.
+
+    A node is a Leaf, or a split's (attribute, threshold) followed by its
+    left and then its right subtree.
+    """
+    stack = [(np.arange(len(y)), 0)]
+    while stack:
+        rows, depth = stack.pop()
+        counts = np.bincount(y[rows], minlength=N_CLASSES)
+        cand = None
+        if counts.max() < rows.size and (params.max_depth is None or depth < params.max_depth):
+            cand = best_split(X[rows], y[rows], params)
+        if cand is None:
+            yield _leaf_from_counts(counts)
+            continue
+        yield schema[cand.attribute_index], cand.threshold
+        left = X[rows, cand.attribute_index] <= cand.threshold
+        stack += ((rows[~left], depth + 1), (rows[left], depth + 1))
 
 
-def _fit_root(ds: Dataset, params: LearnerParams) -> tuple[TreeNode, tuple[int, tuple[int, int, int, int]]]:
-    if len(ds) == 0:
-        raise ValueError("cannot grow a tree on an empty dataset")
-    X = ds.matrix()
-    y = ds.label_indices()
-    root = _grow_node(X, y, ds.schema, params, 0)
-    counts = tuple(int(c) for c in np.bincount(y, minlength=N_CLASSES))
-    return root, (len(ds), counts)
+def _assemble(nodes: Iterable[Leaf | tuple[str, float]]) -> TreeNode:
+    """Build a tree from pre-order nodes; splits wait on a stack until both children are built."""
+    pending: list[list] = []  # [attribute, threshold, left child once built]
+    for node in nodes:
+        if isinstance(node, tuple):
+            pending.append([*node, None])
+            continue
+        while pending and pending[-1][2] is not None:
+            attribute, threshold, left = pending.pop()
+            node = Split(attribute, threshold, left, node)
+        if not pending:
+            return node
+        pending[-1][2] = node
+    raise ValueError("pre-order nodes ended before the tree was complete")
 
 
 def grow_unpruned(ds: Dataset, params: LearnerParams = LearnerParams()) -> TreeModel:
-    """Recursive partitioning only; exposed so pruning effects can be inspected."""
-    root, fingerprint = _fit_root(ds, params)
-    return TreeModel(root, params, ds.schema, fingerprint)
+    """Growth only; exposed so pruning effects can be inspected."""
+    if len(ds) == 0:
+        raise ValueError("cannot grow a tree on an empty dataset")
+    y = ds.label_indices()
+    root = _assemble(_grow_preorder(ds.matrix(), y, ds.schema, params))
+    counts = tuple(int(c) for c in np.bincount(y, minlength=N_CLASSES))
+    return TreeModel(root, params, ds.schema, (len(ds), counts))
 
 
 def grow(ds: Dataset, params: LearnerParams = LearnerParams()) -> TreeModel:
-    """Grow by recursive partitioning, then prune with the confidence factor.
+    """Grow a tree by partitioning, then prune it with the confidence factor.
 
-    Recursion stops at pure nodes, when no admissible split exists, or at
-    ``params.max_depth``. Every leaf keeps the class counts of the training
-    records routed to it.
+    Growth pops (rows, depth) pairs off an explicit stack, so its depth is
+    not limited by recursion, and scores each node's splits in one pass of
+    :func:`best_split`. A node becomes a leaf when it is pure, when no
+    admissible split exists, or at ``params.max_depth``. Every leaf keeps
+    the class counts of the training records routed to it.
     """
-    root, fingerprint = _fit_root(ds, params)
-    return TreeModel(prune(root, params.confidence_factor), params, ds.schema, fingerprint)
+    model = grow_unpruned(ds, params)
+    return replace(model, root=prune(model.root, params.confidence_factor))
 
 
 def pessimistic_error(misclassified: int, n: int, cf: float) -> float:
@@ -328,12 +345,32 @@ def prune(root: TreeNode, cf: float) -> TreeNode:
 
 def predict(model: TreeModel, record: CompanyRecord) -> tuple[SolvencyClass, np.ndarray]:
     """Route a record to its leaf; returns (class, relative-frequency vector)."""
-    node = model.root
-    while isinstance(node, Split):
-        node = node.left if record.value(node.attribute) <= node.threshold else node.right
-    total = sum(node.class_counts)
-    probs = np.array(node.class_counts, dtype=float) / total
-    return node.predicted, probs
+    classes, freqs = _route(model.root, [record.values])
+    return CLASS_ALPHABET[classes[0]], freqs[0]
+
+
+def _route(root: TreeNode, values) -> tuple[np.ndarray, np.ndarray]:
+    """Route each row of ``values`` to its leaf on an explicit stack of row-index arrays.
+
+    ``values`` holds all eleven attributes in ``ATTRIBUTE_NAMES`` order, one
+    row per record. Returns each row's class index and its leaf's relative
+    class frequencies, shape (n, 4).
+    """
+    values = np.asarray(values, dtype=float)
+    classes = np.empty(len(values), dtype=np.int64)
+    freqs = np.empty((len(values), N_CLASSES))
+    stack = [(root, np.arange(len(values)))]
+    while stack:
+        node, rows = stack.pop()
+        if rows.size == 0:
+            continue
+        if isinstance(node, Leaf):
+            classes[rows] = node.predicted.value
+            freqs[rows] = np.array(node.class_counts, dtype=float) / sum(node.class_counts)
+        else:
+            left = values[rows, attribute_column(node.attribute)] <= node.threshold
+            stack += ((node.right, rows[~left]), (node.left, rows[left]))
+    return classes, freqs
 
 
 def node_count(node: TreeNode) -> int:

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from itertools import repeat
 from pathlib import Path
 from typing import Iterator
 
 from .dataset import ATTRIBUTE_NAMES, N_CLASSES
-from .tree import Leaf, LearnerParams, Split, TreeModel, TreeNode, _leaf_from_counts
+from .tree import Leaf, LearnerParams, Split, TreeModel, TreeNode, _assemble, _leaf_from_counts
 
 FORMAT_LINE = "solvtree-tree 1"
 
@@ -50,11 +51,7 @@ def serialize(model: TreeModel) -> str:
 class _LineReader:
     def __init__(self, text: str):
         self.lines = text.splitlines()
-        self.pos = 0
-
-    @property
-    def line_no(self) -> int:
-        return self.pos + 1
+        self.pos = 0  # lines read so far, which is also the 1-based number of the last one
 
     def next(self, what: str) -> str:
         if self.pos >= len(self.lines):
@@ -68,13 +65,13 @@ def _header_value(reader: _LineReader, key: str) -> str:
     line = reader.next(f"'{key}' header")
     prefix = key + " "
     if not line.startswith(prefix):
-        raise ModelFormatError(f"expected '{key}' header, found {line!r}", reader.line_no - 1)
+        raise ModelFormatError(f"expected '{key}' header, found {line!r}", reader.pos)
     return line[len(prefix):]
 
 
 def _read_node_line(reader: _LineReader, schema: tuple[str, ...]) -> Leaf | tuple[str, float]:
     """One pre-order node line: a Leaf, or a split's (attribute, threshold)."""
-    at = reader.line_no
+    at = reader.pos + 1
     line = reader.next("a node line")
     parts = line.split()
     if parts and parts[0] == "leaf":
@@ -100,22 +97,6 @@ def _read_node_line(reader: _LineReader, schema: tuple[str, ...]) -> Leaf | tupl
     raise ModelFormatError(f"expected a 'split' or 'leaf' line, found {line!r}", at)
 
 
-def _read_tree(reader: _LineReader, schema: tuple[str, ...]) -> TreeNode:
-    """Read pre-order node lines; splits wait on a stack until both children are read."""
-    pending: list[list] = []  # [attribute, threshold, left child once read]
-    while True:
-        node = _read_node_line(reader, schema)
-        if isinstance(node, tuple):
-            pending.append([*node, None])
-            continue
-        while pending and pending[-1][2] is not None:
-            attribute, threshold, left = pending.pop()
-            node = Split(attribute, threshold, left, node)
-        if not pending:
-            return node
-        pending[-1][2] = node
-
-
 def parse(text: str) -> TreeModel:
     """Inverse of :func:`serialize`; raises ModelFormatError with the line number."""
     reader = _LineReader(text)
@@ -125,11 +106,11 @@ def parse(text: str) -> TreeModel:
     try:
         cf = float(_header_value(reader, "confidence_factor"))
     except ValueError:
-        raise ModelFormatError("non-numeric confidence_factor", reader.line_no - 1) from None
+        raise ModelFormatError("non-numeric confidence_factor", reader.pos) from None
     try:
         min_leaf = int(_header_value(reader, "min_leaf"))
     except ValueError:
-        raise ModelFormatError("non-integer min_leaf", reader.line_no - 1) from None
+        raise ModelFormatError("non-integer min_leaf", reader.pos) from None
     raw_depth = _header_value(reader, "max_depth")
     if raw_depth == "none":
         max_depth = None
@@ -137,28 +118,29 @@ def parse(text: str) -> TreeModel:
         try:
             max_depth = int(raw_depth)
         except ValueError:
-            raise ModelFormatError(f"bad max_depth {raw_depth!r}", reader.line_no - 1) from None
+            raise ModelFormatError(f"bad max_depth {raw_depth!r}", reader.pos) from None
     schema = tuple(_header_value(reader, "schema").split(","))
     for name in schema:
         if name not in ATTRIBUTE_NAMES:
-            raise ModelFormatError(f"unknown schema attribute {name!r}", reader.line_no - 1)
+            raise ModelFormatError(f"unknown schema attribute {name!r}", reader.pos)
     trained = _header_value(reader, "trained").split()
     if len(trained) != 2:
-        raise ModelFormatError("'trained' header must be '<n> <c,c,c,c>'", reader.line_no - 1)
+        raise ModelFormatError("'trained' header must be '<n> <c,c,c,c>'", reader.pos)
     try:
         n_trained = int(trained[0])
         counts = tuple(int(c) for c in trained[1].split(","))
     except ValueError:
-        raise ModelFormatError("non-integer training fingerprint", reader.line_no - 1) from None
+        raise ModelFormatError("non-integer training fingerprint", reader.pos) from None
     if len(counts) != N_CLASSES:
-        raise ModelFormatError(f"training fingerprint needs {N_CLASSES} counts", reader.line_no - 1)
+        raise ModelFormatError(f"training fingerprint needs {N_CLASSES} counts", reader.pos)
     try:
         params = LearnerParams(cf, min_leaf, max_depth)
     except ValueError as exc:
-        raise ModelFormatError(str(exc), reader.line_no - 1) from None
-    root = _read_tree(reader, schema)
+        raise ModelFormatError(str(exc), reader.pos) from None
+    # node lines are read until the tree is complete; the reader raises at the end of the text
+    root = _assemble(_read_node_line(reader, schema) for _ in repeat(None))
     if reader.pos != len(reader.lines):
-        raise ModelFormatError("trailing content after the tree", reader.line_no)
+        raise ModelFormatError("trailing content after the tree", reader.pos + 1)
     return TreeModel(root, params, schema, (n_trained, counts))
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -14,8 +15,11 @@ from solvtree import (
     PipelineConfig,
     class_distribution,
     load_csv,
+    write_csv,
 )
 from solvtree.cli import main
+
+from oracles import make_dataset
 
 
 def _run(capsys, *argv) -> tuple[int, str, str]:
@@ -117,6 +121,15 @@ class TestBalanceCommand:
         assert code == 2
         assert "--targets" in err
 
+
+    @pytest.mark.parametrize("percent", ["inf", "nan"])
+    def test_non_finite_percent_is_a_data_error(self, data_csv, tmp_path, capsys, percent):
+        code, _, err = _run(
+            capsys, "balance", "--input", str(data_csv), "--mode", "resample",
+            "--percent", percent, "-o", str(tmp_path / "out.csv"),
+        )
+        assert code == 1
+        assert "sample_size_percent must be finite" in err
 
 class TestBalanceResolution:
     """Balancing knobs come from the flag, else the config, else the default."""
@@ -241,6 +254,32 @@ class TestTrainPredictEvaluate:
         assert "schema V1,V2\n" in model.read_text()
 
 
+    def test_deep_alternating_set_trains_and_predicts(self, tmp_path, capsys):
+        # labels alternating in pairs along V1 grow a chain about 1100 splits deep
+        data = tmp_path / "deep.csv"
+        write_csv(make_dataset([(float(i),) for i in range(2200)], [(i // 2) % 2 for i in range(2200)]), data)
+        model = tmp_path / "m.tree"
+        assert main(["train", "--input", str(data), "--attributes", "V1", "-o", str(model)]) == 0
+        code, out, _ = _run(capsys, "predict", "--model", str(model), "--input", str(data))
+        assert code == 0
+        assert [line.split(",")[2] for line in out.splitlines()] == ["insolvency", "insolvency", "weak", "weak"] * 550
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (f"A,2001,,,160.0,{'1' * 200_000}" + ",0.5" * 10 + "\n", "row 2"),
+            (b"\xff,2001,,,160.0" + b",0.5" * 11 + b"\n", "UTF-8"),
+        ],
+        ids=["overlong-cell", "invalid-utf8"],
+    )
+    def test_unreadable_csv_is_a_data_error(self, tmp_path, capsys, content, message):
+        header = "company_id,year,tca,tcr,car," + ",".join(f"V{i}" for i in range(1, 12)) + "\n"
+        data = tmp_path / "bad.csv"
+        data.write_bytes(header.encode() + (content if isinstance(content, bytes) else content.encode()))
+        code, _, err = _run(capsys, "train", "--input", str(data), "-o", str(tmp_path / "m.tree"))
+        assert code == 1
+        assert err.startswith("error:") and message in err
+
 class TestCrossValidateCommand:
     def test_deterministic_report_files(self, data_csv, tmp_path, capsys):
         reports = []
@@ -295,8 +334,12 @@ class TestConfigAndSeeds:
             ([], "config"),
             ({"learner": {"max_depth": "x"}}, "learner.max_depth"),
             ({"learner": []}, "learner"),
+            ({"seed": 1e400}, "seed"),
+            ({"learner": {"min_leaf": math.inf}}, "learner.min_leaf"),
+            ({"balance": {"mode": "resample", "sample_size_percent": math.inf}}, "sample_size_percent"),
         ],
-        ids=["balance-without-mode", "top-level-list", "bad-max-depth", "learner-list"],
+        ids=["balance-without-mode", "top-level-list", "bad-max-depth", "learner-list",
+             "seed-overflow", "min-leaf-infinity", "percent-infinity"],
     )
     def test_malformed_config_is_a_data_error(self, command, config, key, data_csv, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

@@ -1,5 +1,7 @@
+import functools
 import io
 import math
+import operator
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +22,8 @@ from solvtree import (
     stratified_split,
     write_csv,
 )
+
+from solvtree.dataset import _sum_in_order
 
 from oracles import make_dataset
 
@@ -183,6 +187,35 @@ class TestLoadCsv:
             write_csv(ds, buf)
             bufs.append(buf.getvalue())
         assert bufs[0] == bufs[1]
+
+
+    def test_overlong_cell_names_its_row(self):
+        # the csv module refuses fields over 131072 characters
+        rows = [f"A,2001,,,160.0,{ELEVEN}", f"B,2001,,,160.0,{'1' * 200_000},{ELEVEN[4:]}"]
+        with pytest.raises(CsvFormatError) as exc_info:
+            load_csv(_csv(rows))
+        assert exc_info.value.row == 3
+        assert "field limit" in str(exc_info.value)
+
+    def test_invalid_utf8_is_a_format_error(self, tmp_path):
+        data = _csv([f"A,2001,,,160.0,{ELEVEN}"]).getvalue().encode().replace(b"A,", b"\xffA,")
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        for source in (path, io.BytesIO(data)):
+            with pytest.raises(CsvFormatError, match="UTF-8"):
+                load_csv(source)
+
+
+class TestSumInOrder:
+    def test_adds_left_to_right_without_compensation(self):
+        values = [0.1] * 10 + [1e16, 1.0, -1e16]
+        naive = functools.reduce(operator.add, values, 0.0)
+        assert naive == 0.0 and math.fsum(values) == 2.0
+        assert _sum_in_order(values) == naive
+        assert _sum_in_order(values[:10]) == functools.reduce(operator.add, values[:10], 0.0)
+
+    def test_negative_zeros_sum_to_positive_zero(self):
+        assert math.copysign(1.0, _sum_in_order([-0.0, -0.0])) == 1.0
 
 
 class TestClassDistribution:

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 from itertools import combinations
 
 import numpy as np
@@ -12,6 +14,7 @@ from solvtree import (
     merit_from_correlations,
     symmetric_uncertainty,
 )
+from solvtree.features import _merit
 
 from oracles import brute_force_best_subset, make_dataset
 
@@ -182,6 +185,25 @@ class TestCfsMerit:
         assert pair <= single
         assert pair == pytest.approx(single)
         assert greedy_stepwise(ds, n_bins=2).selected == ("V1",)
+
+    def test_merit_adds_correlations_left_to_right(self):
+        # on this table a compensated sum (math.fsum, or sum from Python 3.12)
+        # of r_cf and of r_ff differs from one rounding per addition
+        rng = np.random.default_rng(5)
+        k = 6
+        su = {(a, b): float(rng.random()) for a in range(k + 1) for b in range(k + 1) if a != b}
+        cols = list(range(k))
+        r_cf = [su[c, k] for c in cols]
+        r_ff = [su[pair] for pair in combinations(cols, 2)]
+
+        def merit(total):
+            return merit_from_correlations(k, total(r_cf) / k, total(r_ff) / len(r_ff))
+
+        def in_order(values):
+            return functools.reduce(operator.add, values, 0.0)
+
+        assert merit(math.fsum) != merit(in_order)
+        assert _merit(cols, su, k) == merit(in_order)
 
     def test_empty_subset_rejected(self):
         ds = make_dataset([(0.0,)] * 4, [0, 0, 3, 3])

@@ -12,6 +12,7 @@ import solvtree
 import solvtree.tree
 
 from solvtree import (
+    ATTRIBUTE_NAMES,
     GeneratorSpec,
     LearnerParams,
     Leaf,
@@ -265,6 +266,16 @@ class TestGrow:
             assert routed[id(leaf)] == list(leaf.class_counts)
 
 
+    @pytest.mark.parametrize("fit", [grow_unpruned, grow])
+    def test_deep_alternating_set_grows_without_recursion(self, fit):
+        # labels alternate in pairs along one attribute, so the tree is a
+        # chain about 1100 splits deep
+        ds = make_dataset([(float(i),) for i in range(2200)], [(i // 2) % 2 for i in range(2200)])
+        model = fit(ds)
+        assert node_count(model.root) > 2000
+        classes, _ = solvtree.tree._route(model.root, [r.values for r in ds.records])
+        assert (classes == ds.label_indices()).all()
+
 class TestPrune:
     def test_same_majority_children_collapse(self):
         subtree = Split(
@@ -390,6 +401,33 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict(model, ds.records[0])
 
+
+    def test_router_matches_a_hand_walk(self):
+        rng = np.random.default_rng(11)
+        rows = [tuple(float(v) for v in rng.integers(0, 12, size=3)) for _ in range(300)]
+        ds = make_dataset(rows, [int(v) for v in rng.integers(0, 4, size=300)])
+        root = grow_unpruned(ds).root
+        assert node_count(root) > 50
+        thresholds = []
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Split):
+                thresholds.append((node.attribute, node.threshold))
+                stack += (node.left, node.right)
+        values = [list(r.values) for r in ds.records]
+        for attribute, threshold in thresholds:  # rows sitting exactly on each threshold
+            row = list(values[0])
+            row[ATTRIBUTE_NAMES.index(attribute)] = threshold
+            values.append(row)
+        classes, freqs = solvtree.tree._route(root, values)
+        for row, cls, freq in zip(values, classes.tolist(), freqs.tolist()):
+            node = root
+            while isinstance(node, Split):
+                value = row[ATTRIBUTE_NAMES.index(node.attribute)]
+                node = node.left if value <= node.threshold else node.right
+            assert cls == node.predicted.value
+            assert freq == [c / sum(node.class_counts) for c in node.class_counts]
 
 class TestLearnerParams:
     def test_defaults(self):
