@@ -14,7 +14,6 @@ from .dataset import (
     N_CLASSES,
     CompanyRecord,
     Dataset,
-    SolvencyClass,
     _round_half_up,
 )
 
@@ -87,11 +86,8 @@ def resample(
     size = _round_half_up(sample_size_percent / 100.0 * n)
     rng = np.random.default_rng(seed)
     class_draws = rng.choice(N_CLASSES, size=size, p=probs)
-    out = []
-    for c in class_draws:
-        pool = members[int(c)]
-        out.append(ds.records[pool[int(rng.integers(len(pool)))]])
-    return Dataset(tuple(out), ds.schema)
+    rows = [members[c][rng.integers(len(members[c]))] for c in class_draws.tolist()]
+    return ds.take(np.array(rows, dtype=np.intp))
 
 
 def nearest_neighbors(
@@ -119,16 +115,6 @@ def _nearest_rows(P: np.ndarray, q: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k rows of P nearest to q, ascending distance, ties in row order."""
     d = np.sqrt(((P - q) ** 2).sum(axis=1))
     return np.argsort(d, kind="stable")[:k]
-
-
-def _interpolate(
-    base: CompanyRecord, neighbor: CompanyRecord, u: float, cls: SolvencyClass
-) -> CompanyRecord:
-    # All numeric columns move with the same factor so the synthetic row is a
-    # valid CSV row; car stays in its band because bands are intervals.
-    values = tuple(a + u * (b - a) for a, b in zip(base.values, neighbor.values))
-    car = base.car + u * (neighbor.car - base.car)
-    return CompanyRecord(None, None, None, None, car, values, cls)
 
 
 def smote(
@@ -163,13 +149,13 @@ def smote(
             raise ValueError(
                 f"class {cls.csv_name} needs at least 2 members to synthesize, has {have}"
             )
-    synthetics: list[CompanyRecord] = []
+    base, neighbor, fraction = [], [], []  # one entry per synthetic row
     for cls in CLASS_ALPHABET:
         deficit = targets[cls.value] - counts[cls.value]
         if deficit == 0:
             continue
-        members = [ds.records[i] for i in np.flatnonzero(y == cls.value)]
-        M = Dataset(tuple(members), ds.schema).matrix()
+        members = np.flatnonzero(y == cls.value)
+        M = ds.take(members).matrix()
         # Member s is at distance 0 from itself, so dropping it from the stable
         # order over all members leaves the stable order over the others, and
         # the first k+1 rows hold the first k of those whether or not s is there.
@@ -181,7 +167,15 @@ def smote(
         for t in range(deficit):
             s = t % len(members)
             neighbors = neighbor_rows[s]
-            neighbor = members[neighbors[int(rng.integers(len(neighbors)))]]
-            u = float(rng.random())
-            synthetics.append(_interpolate(members[s], neighbor, u, cls))
-    return Dataset(ds.records + tuple(synthetics), ds.schema)
+            base.append(members[s])
+            neighbor.append(members[neighbors[int(rng.integers(len(neighbors)))]])
+            fraction.append(float(rng.random()))
+    # Every numeric column moves by the same fraction u along a + u * (b - a),
+    # so the synthetic row is a valid CSV row; car stays in its band because
+    # bands are intervals.
+    a, b = ds.take(np.array(base, dtype=np.intp)), ds.take(np.array(neighbor, dtype=np.intp))
+    u = np.array(fraction)
+    no_id, no_money = np.full(len(u), None), np.full(len(u), np.nan)  # company_id/year, tca/tcr
+    synthetic = (no_id, no_id, no_money, no_money, a.car + u * (b.car - a.car),
+                 a.values + u[:, None] * (b.values - a.values), a.y)
+    return Dataset._of(ds.schema, *map(np.concatenate, zip(ds._columns(), synthetic)))

@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -20,7 +20,7 @@ from .dataset import (
     CLASS_ALPHABET,
     CsvFormatError,
     Dataset,
-    label_from_car,
+    _car_bands,
     load_csv,
     write_csv,
 )
@@ -135,12 +135,6 @@ def _attr_list(text: str) -> tuple[str, ...]:
     return names
 
 
-def _input_path(text: str) -> str:
-    if not Path(text).is_file():
-        raise argparse.ArgumentTypeError(f"input file not found: {text}")
-    return text
-
-
 def _write_text(path: str | None, text: str) -> None:
     _write_lines(path, (text,))
 
@@ -155,10 +149,7 @@ def _write_lines(path: str | None, lines: Iterable[str]) -> None:
 
 
 def _write_dataset(ds: Dataset, path: str | None) -> None:
-    if path is None or path == "-":
-        write_csv(ds, sys.stdout)
-    else:
-        write_csv(ds, path)
+    write_csv(ds, sys.stdout if path is None or path == "-" else path)
 
 
 def _config(args) -> PipelineConfig:
@@ -241,8 +232,8 @@ def _cmd_generate(args) -> int:
 def _cmd_label(args) -> int:
     cfg = _config(args)
     ds = load_csv(_resolve_input(args, cfg))
-    relabeled = tuple(replace(r, label=label_from_car(r.car)) for r in ds.records)
-    _write_dataset(Dataset(relabeled, ds.schema), args.output or cfg.paths.get("output"))
+    relabeled = Dataset._of(ds.schema, *ds._columns()[:-1], _car_bands(ds.car))  # a new y column
+    _write_dataset(relabeled, args.output or cfg.paths.get("output"))
     return 0
 
 
@@ -311,11 +302,11 @@ def _cmd_predict(args) -> int:
     cfg = _config(args)
     model = read_model(_resolve_input(args, cfg, "model"))
     ds = load_csv(_resolve_input(args, cfg), allow_duplicates=True)
-    classes, freqs = _route(model.root, [r.values for r in ds.records])
+    classes, freqs = _route(model.root, ds.values)
     lines = [
-        f"{r.company_id or ''},{'' if r.year is None else r.year},{CLASS_ALPHABET[c].csv_name},"
+        f"{company_id or ''},{'' if year is None else year},{CLASS_ALPHABET[c].csv_name},"
         + ",".join(map(repr, p))
-        for r, c, p in zip(ds.records, classes.tolist(), freqs.tolist())
+        for company_id, year, c, p in zip(ds.company_id, ds.year, classes.tolist(), freqs.tolist())
     ]
     _write_text(args.output or cfg.paths.get("output"), "\n".join(lines) + "\n")
     return 0
@@ -364,27 +355,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("label", parents=[common], help="derive class labels from CAR bands")
-    p.add_argument("--input", type=_input_path, default=None, help="input CSV")
+    p.add_argument("--input", default=None, help="input CSV")
     p.add_argument("-o", "--output", default=None, help="output CSV path (stdout when absent)")
     p.set_defaults(func=_cmd_label)
 
     p = sub.add_parser(
         "select-features", parents=[common], help="greedy correlation-based attribute selection"
     )
-    p.add_argument("--input", type=_input_path, default=None, help="labeled input CSV")
+    p.add_argument("--input", default=None, help="labeled input CSV")
     p.add_argument("--bins", type=int, default=None, help="equal-frequency bins for correlation")
     p.set_defaults(func=_cmd_select_features)
 
     p = sub.add_parser(
         "balance", parents=[common, balance_flags], help="rebalance classes by resampling or SMOTE"
     )
-    p.add_argument("--input", type=_input_path, default=None, help="labeled input CSV")
+    p.add_argument("--input", default=None, help="labeled input CSV")
     p.add_argument("--mode", choices=["resample", "smote"], default=None)
     p.add_argument("-o", "--output", default=None, help="output CSV path (stdout when absent)")
     p.set_defaults(func=_cmd_balance)
 
     p = sub.add_parser("train", parents=[common, learner], help="fit and prune a decision tree")
-    p.add_argument("--input", type=_input_path, default=None, help="labeled training CSV")
+    p.add_argument("--input", default=None, help="labeled training CSV")
     p.add_argument("-o", "--output", default=None, help="model file path (stdout when absent)")
     p.set_defaults(func=_cmd_train)
 
@@ -392,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cross-validate", parents=[common, learner, balance_flags],
         help="stratified k-fold evaluation with optional per-fold balancing",
     )
-    p.add_argument("--input", type=_input_path, default=None, help="labeled input CSV")
+    p.add_argument("--input", default=None, help="labeled input CSV")
     p.add_argument("--folds", type=int, default=None)
     p.add_argument(
         "--balance-mode", choices=["resample", "smote", "none"], default=None,
@@ -403,20 +394,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cross_validate)
 
     p = sub.add_parser("evaluate", parents=[common], help="score a model on a labeled test CSV")
-    p.add_argument("--model", type=_input_path, default=None, help="model file")
-    p.add_argument("--test", type=_input_path, default=None, help="labeled test CSV")
+    p.add_argument("--model", default=None, help="model file")
+    p.add_argument("--test", default=None, help="labeled test CSV")
     p.add_argument("--report", default=None, help="report path (stdout when absent)")
     p.add_argument("--summary", default=None, help="key=value summary path")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("predict", parents=[common], help="classify records with a saved model")
-    p.add_argument("--model", type=_input_path, default=None, help="model file")
-    p.add_argument("--input", type=_input_path, default=None, help="input CSV")
+    p.add_argument("--model", default=None, help="model file")
+    p.add_argument("--input", default=None, help="input CSV")
     p.add_argument("-o", "--output", default=None, help="output path (stdout when absent)")
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("render-tree", parents=[common], help="print a model as indented text")
-    p.add_argument("--model", type=_input_path, default=None, help="model file")
+    p.add_argument("--model", default=None, help="model file")
     p.add_argument("-o", "--output", default=None, help="output path (stdout when absent)")
     p.set_defaults(func=_cmd_render_tree)
 

@@ -7,13 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import (
-    ATTRIBUTE_NAMES,
-    CLASS_ALPHABET,
-    CompanyRecord,
-    Dataset,
-    SolvencyClass,
-)
+from .dataset import ATTRIBUTE_NAMES, CLASS_ALPHABET, N_CLASSES, Dataset, SolvencyClass
 
 # CAR draw ranges per band; the strong band is open-ended above, capped here
 # so draws stay bounded.
@@ -60,25 +54,14 @@ def generate(spec: GeneratorSpec) -> Dataset:
     """
     rng = np.random.default_rng(spec.seed)
     informative = math.ceil(spec.n_attributes / 2)
-    records: list[CompanyRecord] = []
-    seq = 0
-    for cls in CLASS_ALPHABET:
-        lo, hi = _CAR_BANDS[cls]
-        means = np.zeros(len(ATTRIBUTE_NAMES))
-        means[:informative] = cls.value * spec.separation
-        for _ in range(spec.class_counts[cls.value]):
-            values = rng.normal(means, 1.0)
-            car = float(rng.uniform(lo, hi))
-            records.append(
-                CompanyRecord(
-                    company_id=f"C{seq:04d}",
-                    year=2000 + seq % 9,
-                    tca=None,
-                    tcr=None,
-                    car=car,
-                    values=tuple(values),
-                    label=cls,
-                )
-            )
-            seq += 1
-    return Dataset(tuple(records), ATTRIBUTE_NAMES[: spec.n_attributes])
+    y = np.repeat(np.arange(N_CLASSES), spec.class_counts)
+    means = np.zeros((N_CLASSES, len(ATTRIBUTE_NAMES)))
+    means[:, :informative] = np.arange(N_CLASSES)[:, None] * spec.separation
+    values = np.empty((len(y), len(ATTRIBUTE_NAMES)))
+    car = np.empty(len(y))
+    for i, c in enumerate(y.tolist()):  # draws interleave per record; their order fixes the bytes
+        values[i] = rng.normal(means[c], 1.0)
+        car[i] = rng.uniform(*_CAR_BANDS[CLASS_ALPHABET[c]])
+    absent = np.full(len(y), np.nan)  # tca and tcr
+    ids, years = [f"C{i:04d}" for i in range(len(y))], [2000 + i % 9 for i in range(len(y))]
+    return Dataset._of(ATTRIBUTE_NAMES[: spec.n_attributes], ids, years, absent, absent, car, values, y)

@@ -11,10 +11,13 @@ from __future__ import annotations
 import io
 import csv
 import math
+from array import array
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
@@ -91,13 +94,12 @@ def label_from_car(car: float) -> SolvencyClass:
     car = float(car)
     if not math.isfinite(car):
         raise ValueError(f"CAR must be finite, got {car!r}")
-    if car >= STRONG_MIN_CAR:
-        return SolvencyClass.STRONG
-    if car >= MODERATE_MIN_CAR:
-        return SolvencyClass.MODERATE
-    if car >= WEAK_MIN_CAR:
-        return SolvencyClass.WEAK
-    return SolvencyClass.INSOLVENCY
+    return CLASS_ALPHABET[int(_car_bands(car))]
+
+
+def _car_bands(car):
+    """Class indices of finite CARs (a float or an array), by the bands of :func:`label_from_car`."""
+    return np.searchsorted([WEAK_MIN_CAR, MODERATE_MIN_CAR, STRONG_MIN_CAR], car, side="right")
 
 
 @dataclass(frozen=True)
@@ -121,8 +123,6 @@ class CompanyRecord:
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         object.__setattr__(self, "car", float(self.car))
-        if (self.company_id is None) != (self.year is None):
-            raise ValueError("company_id and year must be given together")
         if len(self.values) != len(ATTRIBUTE_NAMES):
             raise ValueError(f"expected {len(ATTRIBUTE_NAMES)} attribute values, got {len(self.values)}")
         for name, v in zip(ATTRIBUTE_NAMES, self.values):
@@ -130,18 +130,10 @@ class CompanyRecord:
                 raise ValueError(f"attribute {name} is not finite: {v!r}")
         if not math.isfinite(self.car):
             raise ValueError(f"car is not finite: {self.car!r}")
-        if (self.tca is None) != (self.tcr is None):
-            raise ValueError("tca and tcr must be given together")
         if self.tca is not None and self.tcr is not None:
             object.__setattr__(self, "tca", float(self.tca))
             object.__setattr__(self, "tcr", float(self.tcr))
-            if self.tca < 0:
-                raise ValueError(f"tca must be >= 0, got {self.tca}")
-            if self.tcr <= 0:
-                raise ValueError(f"tcr must be > 0, got {self.tcr}")
-            implied = 100.0 * self.tca / self.tcr
-            if not math.isclose(self.car, implied, rel_tol=1e-9, abs_tol=1e-12):
-                raise ValueError(f"car {self.car} disagrees with 100*tca/tcr = {implied}")
+        _check_row(self.company_id, self.year, self.tca, self.tcr, self.car)
 
     @property
     def is_synthetic(self) -> bool:
@@ -151,6 +143,25 @@ class CompanyRecord:
         return self.values[attribute_column(attribute)]
 
 
+def _check_row(company_id, year, tca, tcr, car: float) -> None:
+    """Cross-column checks of one row, for records and CSV rows alike; raises ValueError.
+
+    ``tca`` and ``tcr`` are None when absent, and ``car`` is finite.
+    """
+    if (company_id is None) != (year is None):
+        raise ValueError("company_id and year must be given together")
+    if (tca is None) != (tcr is None):
+        raise ValueError("tca and tcr must be given together")
+    if tca is not None:
+        if tca < 0:
+            raise ValueError(f"tca must be >= 0, got {tca}")
+        if tcr <= 0:
+            raise ValueError(f"tcr must be > 0, got {tcr}")
+        implied = 100.0 * tca / tcr
+        if not math.isclose(car, implied, rel_tol=1e-9, abs_tol=1e-12):
+            raise ValueError(f"car {car} disagrees with 100*tca/tcr = {implied}")
+
+
 def attribute_column(attribute: str) -> int:
     """Position of a named attribute in ``ATTRIBUTE_NAMES`` order."""
     if attribute not in _ATTR_INDEX:
@@ -158,20 +169,43 @@ def attribute_column(attribute: str) -> int:
     return _ATTR_INDEX[attribute]
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Ordered records plus the active attribute schema.
+#: Dataset columns and their dtypes; absent entries are None (objects) or NaN (floats).
+_COLUMNS = {"company_id": object, "year": object, "tca": float, "tcr": float,
+            "car": float, "values": float, "y": np.int64}
 
-    The schema is an ordered subset of V1..V11; records always carry all
-    eleven values, so narrowing the schema never touches the records.
+
+class Dataset:
+    """Insurer-year rows held as columns, plus the active attribute schema.
+
+    One entry per row in each column: ``company_id`` and ``year`` (None on
+    synthetic rows), ``tca`` and ``tcr`` (NaN where absent), ``car``,
+    ``values`` of shape (n, 11) with all eleven ratios in ``ATTRIBUTE_NAMES``
+    order whatever the schema, and ``y``, the class index (-1 unlabeled).
+    Columns are read-only, and :meth:`take` is the one way to select rows.
+    The schema is an ordered subset of V1..V11, so narrowing it never
+    touches the rows. ``Dataset(records, schema)`` builds the columns from
+    records; :attr:`records` builds records from the columns on first use.
     """
 
-    records: tuple[CompanyRecord, ...]
-    schema: tuple[str, ...] = ATTRIBUTE_NAMES
+    def __init__(self, records: Iterable[CompanyRecord], schema: Sequence[str] = ATTRIBUTE_NAMES):
+        records = tuple(records)
+        self._set(
+            schema, [r.company_id for r in records], [r.year for r in records],
+            [r.tca for r in records], [r.tcr for r in records], [r.car for r in records],
+            np.reshape([r.values for r in records], (len(records), len(ATTRIBUTE_NAMES))),
+            [-1 if r.label is None else r.label.value for r in records],
+        )
+        self.records = records
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
-        object.__setattr__(self, "schema", tuple(self.schema))
+    @classmethod
+    def _of(cls, schema: Sequence[str], *columns) -> "Dataset":
+        """A dataset on the given columns, in ``_COLUMNS`` order."""
+        ds = cls.__new__(cls)
+        ds._set(schema, *columns)
+        return ds
+
+    def _set(self, schema: Sequence[str], *columns) -> None:
+        self.schema = tuple(schema)
         if not self.schema:
             raise ValueError("schema must name at least one attribute")
         seen: set[str] = set()
@@ -181,28 +215,44 @@ class Dataset:
             if name in seen:
                 raise ValueError(f"duplicate attribute {name!r} in schema")
             seen.add(name)
+        for (name, dtype), column in zip(_COLUMNS.items(), columns, strict=True):
+            column = np.asarray(column, dtype=dtype)
+            column.flags.writeable = False
+            setattr(self, name, column)
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name in _COLUMNS)
+
+    @cached_property
+    def records(self) -> tuple[CompanyRecord, ...]:
+        """The rows as :class:`CompanyRecord` objects, built on first use."""
+        return tuple(
+            CompanyRecord(company_id, year, None if math.isnan(tca) else tca,
+                          None if math.isnan(tcr) else tcr, car, values,
+                          None if y < 0 else CLASS_ALPHABET[y])
+            for company_id, year, tca, tcr, car, values, y in zip(*(c.tolist() for c in self._columns()))
+        )
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.y)
+
+    def take(self, rows) -> "Dataset":
+        """The rows at ``rows``, an index array or a boolean mask, in that order."""
+        return Dataset._of(self.schema, *(c[rows] for c in self._columns()))
 
     def matrix(self) -> np.ndarray:
-        """Record attribute values as a float array, schema order, shape (n, k)."""
-        cols = [_ATTR_INDEX[a] for a in self.schema]
-        if not self.records:
-            return np.empty((0, len(cols)), dtype=float)
-        return np.array([[r.values[c] for c in cols] for r in self.records], dtype=float)
+        """Attribute values in schema order, shape (n, k): a column slice of ``values``."""
+        return self.values.take([_ATTR_INDEX[a] for a in self.schema], axis=1)
 
     def label_indices(self) -> np.ndarray:
         """Class indices (0..3 in alphabet order); raises on unlabeled records."""
-        out = np.empty(len(self.records), dtype=np.int64)
-        for i, r in enumerate(self.records):
-            if r.label is None:
-                raise ValueError(f"record {i} is unlabeled")
-            out[i] = r.label.value
-        return out
+        unlabeled = np.flatnonzero(self.y < 0)
+        if unlabeled.size:
+            raise ValueError(f"record {unlabeled[0]} is unlabeled")
+        return self.y.copy()
 
     def with_schema(self, schema: Sequence[str]) -> "Dataset":
-        return Dataset(self.records, tuple(schema))
+        return Dataset._of(schema, *self._columns())
 
 
 def class_distribution(ds: Dataset) -> tuple[int, int, int, int]:
@@ -242,9 +292,7 @@ def stratified_split(
         idx = np.flatnonzero(y == c)
         n_train = min(len(idx), max(0, _round_half_up(train_fraction * len(idx))))
         in_train[idx[rng.permutation(len(idx))[:n_train]]] = True
-    train = tuple(r for r, t in zip(ds.records, in_train) if t)
-    test = tuple(r for r, t in zip(ds.records, in_train) if not t)
-    return Dataset(train, ds.schema), Dataset(test, ds.schema)
+    return ds.take(in_train), ds.take(~in_train)
 
 
 class CsvFormatError(ValueError):
@@ -271,6 +319,19 @@ def _open_text(source) -> IO[str]:
     return open(Path(source), "r", encoding="utf-8", newline="")
 
 
+def _csv_rows(source):
+    """(1-based row number, cells) of each CSV row, as ``csv.reader`` yields it."""
+    row = 0
+    try:
+        with _open_text(source) as fh:
+            for row, cells in enumerate(csv.reader(fh), 1):
+                yield row, cells
+    except csv.Error as exc:  # such as a cell over the csv module's field size limit
+        raise CsvFormatError(str(exc), row=row + 1) from None
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(f"not valid UTF-8: {exc.reason}") from None
+
+
 def _cell_float(cell: str, row: int, column: str, required: bool) -> float | None:
     cell = cell.strip()
     if cell == "":
@@ -286,6 +347,17 @@ def _cell_float(cell: str, row: int, column: str, required: bool) -> float | Non
     return v
 
 
+def _row_values(cells: Sequence[str], row: int) -> list[float]:
+    """The eleven ratio cells of a CSV row as floats; the per-cell path names a bad cell."""
+    try:
+        values = [float(c) for c in cells]
+        if math.isfinite(sum(values)):  # an overflowing sum of finite values takes the slow path
+            return values
+    except ValueError:
+        pass
+    return [_cell_float(c, row, name, required=True) for c, name in zip(cells, ATTRIBUTE_NAMES)]
+
+
 def load_csv(source, expect_labels: bool = False, allow_duplicates: bool = False) -> Dataset:
     """Read the dataset CSV format.
 
@@ -295,102 +367,68 @@ def load_csv(source, expect_labels: bool = False, allow_duplicates: bool = False
     synthetic. With ``expect_labels`` set and no class column, labels are
     derived from the CAR bands. Duplicate (company_id, year) pairs are
     rejected unless ``allow_duplicates`` is set, as sampling with
-    replacement legitimately repeats rows.
+    replacement legitimately repeats rows. Rows are checked as the reader
+    yields them, so the first fault in the file is the one reported.
 
     Raises :class:`CsvFormatError` naming the offending row and column.
     """
-    rows: list[list[str]] = []
-    try:
-        with _open_text(source) as fh:
-            for cells in csv.reader(fh):
-                rows.append(cells)
-    except csv.Error as exc:  # such as a cell over the csv module's field size limit
-        raise CsvFormatError(str(exc), row=len(rows) + 1) from None
-    except UnicodeDecodeError as exc:
-        raise CsvFormatError(f"not valid UTF-8: {exc.reason}") from None
-    if not rows:
+    rows = _csv_rows(source)
+    _, header = next(rows, (1, None))
+    if header is None:
         raise CsvFormatError("empty file, expected a header row", row=1)
-
-    header = [h.strip() for h in rows[0]]
     base = list(CSV_BASE_COLUMNS)
-    if header == base:
-        has_class = False
-    elif header == base + ["class"]:
-        has_class = True
-    else:
+    if [h.strip() for h in header] not in (base, base + ["class"]):
         raise CsvFormatError(
             "header must be company_id,year,tca,tcr,car,V1..V11 optionally followed by class",
             row=1,
         )
+    has_class = len(header) > len(base)
 
-    records: list[CompanyRecord] = []
+    heads, labels, values = [], [], array("d")  # heads: (company_id, year, tca, tcr, car) per row
     seen: set[tuple[str, int]] = set()
-    for i, cells in enumerate(rows[1:]):
-        row_no = i + 2
+    for row_no, cells in rows:
         if len(cells) != len(header):
-            raise CsvFormatError(
-                f"expected {len(header)} cells, found {len(cells)}", row=row_no
-            )
-        cells = [c.strip() for c in cells]
-        company_id = cells[0] or None
-        year_cell = cells[1]
-        year: int | None
-        if year_cell == "":
-            year = None
-        else:
-            try:
-                year = int(year_cell)
-            except ValueError:
-                raise CsvFormatError(
-                    f"non-numeric year {year_cell!r}", row=row_no, column="year"
-                ) from None
+            raise CsvFormatError(f"expected {len(header)} cells, found {len(cells)}", row=row_no)
+        company_id, year_cell = cells[0].strip() or None, cells[1].strip()
+        try:
+            year = int(year_cell) if year_cell else None
+        except ValueError:
+            raise CsvFormatError(f"non-numeric year {year_cell!r}", row=row_no, column="year") from None
         tca = _cell_float(cells[2], row_no, "tca", required=False)
         tcr = _cell_float(cells[3], row_no, "tcr", required=False)
         car = _cell_float(cells[4], row_no, "car", required=False)
         if car is None:
             if tca is None or tcr is None:
-                raise CsvFormatError(
-                    "car is blank and tca/tcr are not both present", row=row_no, column="car"
-                )
+                raise CsvFormatError("car is blank and tca/tcr are not both present", row=row_no, column="car")
             if tcr == 0:
                 raise CsvFormatError("tcr must be nonzero", row=row_no, column="tcr")
             car = 100.0 * tca / tcr
-        values = tuple(
-            _cell_float(cells[5 + j], row_no, name, required=True)
-            for j, name in enumerate(ATTRIBUTE_NAMES)
-        )
-        label: SolvencyClass | None = None
+            if not math.isfinite(car):
+                raise CsvFormatError(f"100*tca/tcr is not finite: {car!r}", row=row_no, column="car")
+        values.extend(_row_values(cells[5:5 + len(ATTRIBUTE_NAMES)], row_no))
         if has_class:
-            cls_cell = cells[5 + len(ATTRIBUTE_NAMES)]
+            cls_cell = cells[-1].strip()
             if cls_cell == "":
                 raise CsvFormatError("missing value", row=row_no, column="class")
             try:
-                label = SolvencyClass.from_csv_name(cls_cell)
+                labels.append(SolvencyClass.from_csv_name(cls_cell).value)
             except ValueError as exc:
                 raise CsvFormatError(str(exc), row=row_no, column="class") from None
-        elif expect_labels:
-            label = label_from_car(car)
         try:
-            record = CompanyRecord(company_id, year, tca, tcr, car, values, label)
+            _check_row(company_id, year, tca, tcr, car)
         except ValueError as exc:
             raise CsvFormatError(str(exc), row=row_no) from None
-        if not record.is_synthetic and not allow_duplicates:
-            key = (record.company_id, record.year)
-            if key in seen:
-                raise CsvFormatError(
-                    f"duplicate company_id/year pair {key!r}", row=row_no
-                )
-            seen.add(key)
-        records.append(record)
-    return Dataset(tuple(records), ATTRIBUTE_NAMES)
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+        if company_id is not None and not allow_duplicates:
+            if (company_id, year) in seen:
+                raise CsvFormatError(f"duplicate company_id/year pair {(company_id, year)!r}", row=row_no)
+            seen.add((company_id, year))
+        heads.append((company_id, year, tca, tcr, car))
+    ids, years, tcas, tcrs, cars = zip(*heads) if heads else [()] * 5
+    car_column = np.array(cars, dtype=float)
+    if not has_class:
+        labels = _car_bands(car_column) if expect_labels else np.full(len(heads), -1)
+    return Dataset._of(ATTRIBUTE_NAMES, ids, years, tcas, tcrs, car_column,
+                       np.array(values).reshape(-1, len(ATTRIBUTE_NAMES)), labels)
 
 
 def write_csv(ds: Dataset, dest) -> None:
@@ -398,30 +436,24 @@ def write_csv(ds: Dataset, dest) -> None:
 
     All eleven value columns are always written regardless of the active
     schema. The class column is written only for fully labeled datasets.
+    Rows are formatted one at a time: floats by ``repr``, absent cells empty.
     """
-    labels = [r.label for r in ds.records]
-    with_class = all(l is not None for l in labels)
-    if not with_class and any(l is not None for l in labels):
+    labeled = ds.y >= 0
+    with_class = bool(labeled.all())
+    if not with_class and labeled.any():
         raise ValueError("cannot write a partially labeled dataset")
-
     own = not hasattr(dest, "write")
-    fh = open(Path(dest), "w", encoding="utf-8", newline="") if own else dest
-    try:
+    with open(Path(dest), "w", encoding="utf-8", newline="") if own else nullcontext(dest) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        header = list(CSV_BASE_COLUMNS) + (["class"] if with_class else [])
-        writer.writerow(header)
-        for r in ds.records:
-            row = [
-                _fmt(r.company_id),
-                _fmt(r.year),
-                _fmt(r.tca),
-                _fmt(r.tcr),
-                _fmt(r.car),
-                *(_fmt(v) for v in r.values),
-            ]
+        writer.writerow(CSV_BASE_COLUMNS + (("class",) if with_class else ()))
+        # tca and tcr are absent together; the writer leaves None cells empty
+        for company_id, year, tca, tcr, car, values, y in zip(
+            ds.company_id, ds.year, ds.tca.tolist(), ds.tcr.tolist(), ds.car.tolist(), ds.values,
+            ds.y.tolist(),
+        ):
+            if math.isnan(tca):
+                tca = tcr = None
+            row = [company_id, year, tca, tcr, car, *values.tolist()]
             if with_class:
-                row.append(r.label.csv_name)
+                row.append(CLASS_ALPHABET[y].csv_name)
             writer.writerow(row)
-    finally:
-        if own:
-            fh.close()

@@ -58,30 +58,31 @@ def mae(predicted_probs, actual) -> float:
     Averages |p_ij - a_ij| over all n instances and all classes, so a
     confidently wrong one-hot prediction contributes 0.5.
     """
-    P, A = _paired_probs(predicted_probs, actual)
-    return float(np.abs(P - A).sum() / P.size)
+    return _residual_means(predicted_probs, _as_label_indices(actual))[0]
 
 
 def rmse(predicted_probs, actual) -> float:
     """Root mean squared residual over the same n * n_classes terms as mae."""
-    P, A = _paired_probs(predicted_probs, actual)
-    return float(math.sqrt(((P - A) ** 2).sum() / P.size))
+    return _residual_means(predicted_probs, _as_label_indices(actual))[1]
 
 
-def _as_label_indices(actual) -> np.ndarray:
-    out = np.empty(len(actual), dtype=np.int64)
-    for i, a in enumerate(actual):
-        out[i] = a.value if isinstance(a, SolvencyClass) else int(a)
-        if not 0 <= out[i] < N_CLASSES:
-            raise ValueError(f"label index {out[i]} out of range")
-    return out
+def _as_label_indices(labels) -> np.ndarray:
+    """Class indices of SolvencyClass members or integers; raises on one out of range."""
+    idx = np.asarray(labels)
+    if idx.dtype == object:  # class members, converted at the public edge
+        idx = np.array([a.value if isinstance(a, SolvencyClass) else int(a) for a in labels])
+    idx = idx.astype(np.int64)
+    bad = idx[(idx < 0) | (idx >= N_CLASSES)]
+    if bad.size:
+        raise ValueError(f"label index {bad[0]} out of range")
+    return idx
 
 
-def _paired_probs(predicted_probs, actual) -> tuple[np.ndarray, np.ndarray]:
+def _residual_means(predicted_probs, idx: np.ndarray) -> tuple[float, float]:
+    """(MAE, RMSE) of probability vectors against the one-hot class indices ``idx``."""
     P = np.asarray(predicted_probs, dtype=float)
     if P.ndim != 2:
         raise ValueError("predicted_probs must be a (n, n_classes) array")
-    idx = _as_label_indices(actual)
     if len(idx) != P.shape[0]:
         raise ValueError(f"length mismatch: {P.shape[0]} predictions vs {len(idx)} labels")
     sums = P.sum(axis=1)
@@ -89,7 +90,7 @@ def _paired_probs(predicted_probs, actual) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("each probability vector must sum to 1 within 1e-9")
     A = np.zeros_like(P)
     A[np.arange(len(idx)), idx] = 1.0
-    return P, A
+    return float(np.abs(P - A).sum() / P.size), float(math.sqrt(((P - A) ** 2).sum() / P.size))
 
 
 def report_from_predictions(
@@ -108,15 +109,7 @@ def report_from_predictions(
         for c, rs in enumerate(matrix.row_sums())
     )
     accuracy = matrix.trace / n if n else math.nan
-    return EvalReport(
-        matrix=matrix,
-        per_class_recall=recalls,
-        overall_accuracy=accuracy,
-        mae=mae(probs, a_idx),
-        rmse=rmse(probs, a_idx),
-        n=n,
-        warnings=tuple(warnings),
-    )
+    return EvalReport(matrix, recalls, accuracy, *_residual_means(probs, a_idx), n, tuple(warnings))
 
 
 def stratified_folds(ds: Dataset, k: int, seed: int) -> list[list[int]]:
@@ -189,18 +182,14 @@ def cross_validate(
     the whole run is deterministic given its seed.
     """
     folds = stratified_folds(ds, k, seed)
-    values = np.array([r.values for r in ds.records])
     warnings: list[str] = []
     routed = []  # (class indices, frequencies) of each fold's held-out rows
     for i, fold in enumerate(folds):
-        holdout = set(fold)
-        train = Dataset(
-            tuple(r for j, r in enumerate(ds.records) if j not in holdout), ds.schema
-        )
+        train = ds.take(np.delete(np.arange(len(ds)), fold))
         if balance is not None:
             train, notes = _balanced_training(train, balance, _fold_seed(seed, i), i)
             warnings.extend(notes)
-        routed.append(_route(grow(train, params).root, values[fold]))
+        routed.append(_route(grow(train, params).root, ds.values[fold]))
     predicted, probs = map(np.concatenate, zip(*routed))
     return report_from_predictions(ds.label_indices()[np.concatenate(folds)], predicted, probs, warnings)
 
@@ -213,7 +202,7 @@ def evaluate_on(model: TreeModel, test: Dataset) -> EvalReport:
     if len(test) == 0:
         raise ValueError("test set is empty")
     actual = test.label_indices()
-    predicted, probs = _route(model.root, [r.values for r in test.records])
+    predicted, probs = _route(model.root, test.values)
     return report_from_predictions(actual, predicted, probs)
 
 

@@ -231,9 +231,9 @@ def grow(ds: Dataset, params: LearnerParams = LearnerParams()) -> TreeModel:
 def pessimistic_error(misclassified: int, n: int, cf: float) -> float:
     """Upper confidence limit on a node's true error rate.
 
-    Returns the p solving P[Binomial(n, p) <= misclassified] = cf. Zero
-    errors use 1 - cf**(1/n) and n errors give 1; everything else is
-    solved by :func:`invert_binomial_tail`.
+    Returns the p solving P[Binomial(n, p) <= misclassified] = cf. n errors
+    give 1; fewer are solved by :func:`invert_binomial_tail`, which returns
+    the closed form 1 - cf**(1/n) for zero errors.
     """
     if not 0.0 < cf < 1.0:
         raise ValueError(f"cf must be in (0, 1), got {cf}")
@@ -243,8 +243,6 @@ def pessimistic_error(misclassified: int, n: int, cf: float) -> float:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0 <= e <= n:
         raise ValueError(f"misclassified must be in [0, n], got {e} of {n}")
-    if e == 0:
-        return 1.0 - cf ** (1.0 / n)
     if e == n:
         return 1.0
     return invert_binomial_tail(e, n, cf)

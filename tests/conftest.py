@@ -1,3 +1,11 @@
+import os
+
+from hypothesis import settings
+
+# CI sets HYPOTHESIS_PROFILE=ci for a deeper search than the default 100 examples
+settings.register_profile("ci", max_examples=1000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
 _acceptance_results: list[tuple[str, str]] = []
 
 

@@ -11,6 +11,7 @@ import pytest
 import solvtree
 from solvtree import (
     BalanceTargets,
+    CompanyRecord,
     LearnerParams,
     PipelineConfig,
     class_distribution,
@@ -420,6 +421,33 @@ class TestSelectFeatures:
         float(lines[1].split("=", 1)[1])
 
 
+class TestNoRecordObjects:
+    def test_every_command_runs_on_columns(self, tmp_path, capsys, monkeypatch):
+        # records are for the public edge only: no command may build one per row
+        def refuse(self):
+            raise AssertionError("a CompanyRecord was built")
+
+        monkeypatch.setattr(CompanyRecord, "__post_init__", refuse)
+        data, raw, model = (str(tmp_path / name) for name in ("d.csv", "raw.csv", "m.txt"))
+        steps = [
+            ["generate", "--counts", "20,8,8,44", "--seed", "7", "-o", data],
+            ["label", "--input", data, "-o", str(tmp_path / "labeled.csv")],
+            ["select-features", "--input", data],
+            ["balance", "--mode", "resample", "--input", data, "-o", str(tmp_path / "r.csv")],
+            ["balance", "--mode", "smote", "--targets", "44,44,44,44", "--input", data,
+             "-o", str(tmp_path / "s.csv")],
+            ["train", "--input", data, "-o", model],
+            ["cross-validate", "--input", data, "--folds", "3", "--balance-mode", "smote",
+             "--targets", "30,30,30,44"],
+            ["evaluate", "--model", model, "--test", data],
+            ["predict", "--model", model, "--input", data, "-o", str(tmp_path / "p.csv")],
+            ["render-tree", "--model", model],
+        ]
+        for argv in steps:
+            code, _, err = _run(capsys, *argv)
+            assert code == 0, (argv[0], err)
+
+
 class TestExitCodes:
     def test_unknown_flag(self, capsys):
         code, _, err = _run(capsys, "generate", "--counts", "1,1,1,1", "--bogus")
@@ -435,6 +463,17 @@ class TestExitCodes:
         code, _, err = _run(capsys, "label")
         assert code == 2
         assert "--help" in err
+
+    def test_overflowing_car_is_a_data_error_naming_its_cell(self, tmp_path, capsys):
+        src = tmp_path / "raw.csv"
+        src.write_text(
+            "company_id,year,tca,tcr,car,V1,V2,V3,V4,V5,V6,V7,V8,V9,V10,V11\n"
+            f"A,2001,1e308,1e-308,,{','.join(['0.1'] * 11)}\n",
+            encoding="utf-8",
+        )
+        code, _, err = _run(capsys, "select-features", "--input", str(src))
+        assert code == 1
+        assert "(row 2, column car)" in err
 
     def test_malformed_csv_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -3,6 +3,7 @@ import io
 import math
 import operator
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -19,6 +20,7 @@ from solvtree import (
     generate,
     label_from_car,
     load_csv,
+    smote,
     stratified_split,
     write_csv,
 )
@@ -204,6 +206,128 @@ class TestLoadCsv:
         for source in (path, io.BytesIO(data)):
             with pytest.raises(CsvFormatError, match="UTF-8"):
                 load_csv(source)
+
+
+    @pytest.mark.parametrize("expect_labels", [False, True])
+    def test_overflowing_computed_car_names_row_and_column(self, expect_labels):
+        with pytest.raises(CsvFormatError) as exc_info:
+            load_csv(_csv([f"A,2001,1e308,1e-308,,{ELEVEN}"]), expect_labels=expect_labels)
+        assert (exc_info.value.row, exc_info.value.column) == (2, "car")
+
+    def test_first_fault_in_file_order_is_reported(self):
+        rows = [f"A,2001,,,abc,{ELEVEN}", f"B,2001,,,160.0,{ELEVEN}", f"C,2001,,,160.0,{'1' * 200_000}"]
+        with pytest.raises(CsvFormatError) as exc_info:
+            load_csv(_csv(rows))
+        assert (exc_info.value.row, exc_info.value.column) == (2, "car")
+
+
+def _labeled_csv_lines() -> list[str]:
+    """A valid labeled CSV: generated rows, rows with tca/tcr, a synthetic row."""
+    buf = io.StringIO()
+    write_csv(generate(GeneratorSpec((2, 1, 1, 2), seed=1)), buf)
+    return buf.getvalue().splitlines() + [
+        f"Z,2001,300.0,200.0,150.0,{ELEVEN},strong",
+        f"Y,2002,330,220,,{ELEVEN},strong",
+        f",,,,130.5,{ELEVEN},moderate",
+    ]
+
+
+_CELLS = st.one_of(
+    st.text(max_size=12),
+    st.floats().map(repr),
+    st.sampled_from(["", "1e308", "-1e308", "5e-324", "1e400", "strong", '"', ",", "\n", "\x00"]),
+)
+
+
+def _dump(ds) -> str:
+    buf = io.StringIO()
+    write_csv(ds, buf)
+    return buf.getvalue()
+
+
+class TestCsvFuzz:
+    @given(st.data(), st.booleans())
+    def test_mutated_csv_loads_or_raises_a_format_error(self, data, with_class):
+        lines = _labeled_csv_lines()
+        if not with_class:
+            lines = [line.rsplit(",", 1)[0] for line in lines]
+        for _ in range(data.draw(st.integers(1, 3))):
+            i = data.draw(st.integers(0, len(lines) - 1))
+            cells = lines[i].split(",")
+            kind = data.draw(st.sampled_from(["replace", "add", "drop", "raw line"]))
+            if kind == "replace":
+                cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(_CELLS)
+            elif kind == "add":
+                cells.insert(data.draw(st.integers(0, len(cells))), data.draw(_CELLS))
+            elif kind == "drop":
+                cells.pop(data.draw(st.integers(0, len(cells) - 1)))
+            else:
+                cells = [data.draw(st.text(max_size=40))]
+            lines[i] = ",".join(cells)
+        text = "\n".join(lines) + "\n"
+        for expect_labels in (False, True):
+            for allow_duplicates in (False, True):
+                try:
+                    ds = load_csv(io.StringIO(text), expect_labels, allow_duplicates)
+                except CsvFormatError:
+                    continue
+                assert isinstance(ds, Dataset)
+
+    @given(
+        st.tuples(*[st.integers(2, 6)] * 4),
+        st.integers(0, 2**32 - 1),
+        st.lists(
+            st.tuples(st.floats(0.0, 1e6), st.floats(1e-3, 1e6), st.floats(-1e3, 1e3)),
+            min_size=1, max_size=5,
+        ),
+    )
+    def test_write_load_write_keeps_bytes(self, counts, seed, money):
+        generated = generate(GeneratorSpec(counts, seed=seed))
+        oversampled = smote(generated, [c + 3 for c in counts], k_neighbors=2, seed=seed)
+        with_money = Dataset(
+            CompanyRecord(f"M{i}", 2001, tca, tcr, 100.0 * tca / tcr, (v,) * 11)
+            for i, (tca, tcr, v) in enumerate(money)
+        )
+        for ds in (generated, oversampled, with_money):
+            text = _dump(ds)
+            assert _dump(load_csv(io.StringIO(text))) == text
+
+
+class TestColumnarDataset:
+    def test_columns_from_records(self):
+        records = (
+            CompanyRecord("A", 2001, 330.0, 220.0, 150.0, (0.5,) * 11, SolvencyClass.STRONG),
+            CompanyRecord(None, None, None, None, 99.0, (1.5,) * 11),
+        )
+        ds = Dataset(records, ("V3", "V1"))
+        assert ds.records is records
+        assert ds.company_id.tolist() == ["A", None] and ds.year.tolist() == [2001, None]
+        assert ds.tca[0] == 330.0 and math.isnan(ds.tca[1]) and math.isnan(ds.tcr[1])
+        assert ds.y.tolist() == [SolvencyClass.STRONG.value, -1]
+        assert ds.values.shape == (2, 11)
+        assert ds.matrix().tolist() == [[0.5, 0.5], [1.5, 1.5]]
+
+    def test_records_built_from_columns(self):
+        ds = generate(GeneratorSpec((3, 2, 2, 3), seed=4))
+        assert Dataset(ds.records, ds.schema).records == ds.records
+        assert [r.label.value for r in ds.records] == ds.y.tolist()
+        assert all(r.tca is None and r.tcr is None for r in ds.records)
+
+    def test_take_by_indices_and_mask(self):
+        ds = generate(GeneratorSpec((3, 2, 2, 3), seed=4))
+        picked = ds.take(np.array([4, 0, 4]))
+        assert picked.records == (ds.records[4], ds.records[0], ds.records[4])
+        assert picked.schema == ds.schema
+        mask = ds.y == 3
+        assert ds.take(mask).records == tuple(r for r in ds.records if r.label.value == 3)
+
+    def test_columns_are_read_only(self):
+        ds = generate(GeneratorSpec((1, 1, 1, 1), seed=4))
+        with pytest.raises(ValueError):
+            ds.values[0, 0] = 1.0
+        ds.matrix()[0, 0] = 1.0  # a copy
+        ds.label_indices()[0] = 2  # a copy
+        assert ds.y[0] == 0
 
 
 class TestSumInOrder:

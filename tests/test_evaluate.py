@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from solvtree import (
+    CLASS_ALPHABET,
     BalanceTargets,
     GeneratorSpec,
     LearnerParams,
@@ -61,6 +62,17 @@ class TestMetrics:
             mae([[0.5, 0.5, 0.0, 0.0]], [0, 1])
         with pytest.raises(ValueError):
             mae([[0.9, 0.0, 0.0, 0.0]], [0])  # sums to 0.9
+
+
+    def test_labels_as_classes_or_indices(self):
+        probs = np.eye(4)[[0, 3, 1]] * 0.5 + 0.125
+        classes = [CLASS_ALPHABET[i] for i in (0, 2, 1)]
+        assert mae(probs, classes) == mae(probs, np.array([0, 2, 1]))
+        assert report_from_predictions(classes, classes, probs) == report_from_predictions(
+            [0, 2, 1], (0, 2, 1), probs
+        )
+        with pytest.raises(ValueError, match="label index 4 out of range"):
+            rmse(probs, [0, 4, 1])
 
 
 class TestStratifiedFolds:
