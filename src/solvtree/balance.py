@@ -173,9 +173,17 @@ def smote(
     # Every numeric column moves by the same fraction u along a + u * (b - a),
     # so the synthetic row is a valid CSV row; car stays in its band because
     # bands are intervals.
-    a, b = ds.take(np.array(base, dtype=np.intp)), ds.take(np.array(neighbor, dtype=np.intp))
-    u = np.array(fraction)
+    base, neighbor, u = np.array(base, dtype=np.intp), np.array(neighbor, dtype=np.intp), np.array(fraction)
+
+    def interpolate(column: np.ndarray, weight: np.ndarray) -> np.ndarray:
+        # a + weight * (b - a) of the base and neighbor rows, in place of b's copy
+        a, out = column[base], column[neighbor]
+        out -= a
+        out *= weight
+        out += a
+        return out
+
     no_id, no_money = np.full(len(u), None), np.full(len(u), np.nan)  # company_id/year, tca/tcr
-    synthetic = (no_id, no_id, no_money, no_money, a.car + u * (b.car - a.car),
-                 a.values + u[:, None] * (b.values - a.values), a.y)
+    synthetic = (no_id, no_id, no_money, no_money, interpolate(ds.car, u),
+                 interpolate(ds.values, u[:, None]), ds.y[base])
     return Dataset._of(ds.schema, *map(np.concatenate, zip(ds._columns(), synthetic)))

@@ -21,6 +21,7 @@ from .dataset import (
     CsvFormatError,
     Dataset,
     _car_bands,
+    _csv_text,
     load_csv,
     write_csv,
 )
@@ -304,7 +305,7 @@ def _cmd_predict(args) -> int:
     ds = load_csv(_resolve_input(args, cfg), allow_duplicates=True)
     classes, freqs = _route(model.root, ds.values)
     lines = [
-        f"{company_id or ''},{'' if year is None else year},{CLASS_ALPHABET[c].csv_name},"
+        f"{_csv_text(company_id)},{'' if year is None else year},{CLASS_ALPHABET[c].csv_name},"
         + ",".join(map(repr, p))
         for company_id, year, c, p in zip(ds.company_id, ds.year, classes.tolist(), freqs.tolist())
     ]

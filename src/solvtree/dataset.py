@@ -8,9 +8,10 @@ that downstream learners consume.
 
 from __future__ import annotations
 
-import io
 import csv
+import io
 import math
+import re
 from array import array
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -332,6 +333,15 @@ def _csv_rows(source):
         raise CsvFormatError(f"not valid UTF-8: {exc.reason}") from None
 
 
+def _plain(text: str) -> bool:
+    """Whether a numeric cell has only ASCII characters and no ``_``.
+
+    Python's ``int`` and ``float`` also read ``1_6_0``, full-width and other
+    Unicode digits; the CSV schema does not.
+    """
+    return text.isascii() and "_" not in text
+
+
 def _cell_float(cell: str, row: int, column: str, required: bool) -> float | None:
     cell = cell.strip()
     if cell == "":
@@ -339,6 +349,8 @@ def _cell_float(cell: str, row: int, column: str, required: bool) -> float | Non
             raise CsvFormatError("missing value", row=row, column=column)
         return None
     try:
+        if not _plain(cell):
+            raise ValueError(cell)
         v = float(cell)
     except ValueError:
         raise CsvFormatError(f"non-numeric value {cell!r}", row=row, column=column) from None
@@ -347,15 +359,78 @@ def _cell_float(cell: str, row: int, column: str, required: bool) -> float | Non
     return v
 
 
-def _row_values(cells: Sequence[str], row: int) -> list[float]:
-    """The eleven ratio cells of a CSV row as floats; the per-cell path names a bad cell."""
+#: Class index of each label cell as :func:`write_csv` spells it.
+_LABELS = {cls.csv_name: cls.value for cls in CLASS_ALPHABET}
+
+_N_CELLS = len(CSV_BASE_COLUMNS)  # without the class column
+
+
+def _lean_row(cells: Sequence[str], has_class: bool):
+    """``(company_id, year, tca, tcr, car), values, label`` of a well-formed row.
+
+    The fast path of :func:`load_csv`, for rows as :func:`write_csv` writes
+    them: one plain-number check over all numeric cells, one ``float`` pass,
+    and the cross-column checks only where a row has money cells or lacks
+    its id or year. It raises ValueError or KeyError on every row that
+    :func:`_checked_row` rejects, and on some that it accepts.
+    """
+    if len(cells) != _N_CELLS + has_class:
+        raise ValueError("cell count")
+    numbers = "".join(cells[1:_N_CELLS])
+    if not _plain(numbers):
+        raise ValueError("not a plain number")
+    company_id = cells[0].strip() or None
+    year = int(cells[1]) if cells[1] else None
+    car, *values = map(float, cells[4:_N_CELLS])
+    if not math.isfinite(car + sum(values)):
+        raise ValueError("not finite")
+    tca = tcr = None
+    if cells[2] or cells[3]:
+        tca, tcr = float(cells[2]), float(cells[3])
+        if not math.isfinite(tca + tcr):
+            raise ValueError("not finite")
+    if tca is not None or company_id is None or year is None:
+        _check_row(company_id, year, tca, tcr, car)
+    return (company_id, year, tca, tcr, car), values, _LABELS[cells[-1]] if has_class else -1
+
+
+def _checked_row(cells: Sequence[str], row: int, has_class: bool):
+    """What :func:`_lean_row` returns, checking cell by cell; raises CsvFormatError at the first fault."""
+    if len(cells) != _N_CELLS + has_class:
+        raise CsvFormatError(f"expected {_N_CELLS + has_class} cells, found {len(cells)}", row=row)
+    company_id, year_cell = cells[0].strip() or None, cells[1].strip()
     try:
-        values = [float(c) for c in cells]
-        if math.isfinite(sum(values)):  # an overflowing sum of finite values takes the slow path
-            return values
+        if not _plain(year_cell):
+            raise ValueError(year_cell)
+        year = int(year_cell) if year_cell else None
     except ValueError:
-        pass
-    return [_cell_float(c, row, name, required=True) for c, name in zip(cells, ATTRIBUTE_NAMES)]
+        raise CsvFormatError(f"non-numeric year {year_cell!r}", row=row, column="year") from None
+    tca = _cell_float(cells[2], row, "tca", required=False)
+    tcr = _cell_float(cells[3], row, "tcr", required=False)
+    car = _cell_float(cells[4], row, "car", required=False)
+    if car is None:
+        if tca is None or tcr is None:
+            raise CsvFormatError("car is blank and tca/tcr are not both present", row=row, column="car")
+        if tcr == 0:
+            raise CsvFormatError("tcr must be nonzero", row=row, column="tcr")
+        car = 100.0 * tca / tcr
+        if not math.isfinite(car):
+            raise CsvFormatError(f"100*tca/tcr is not finite: {car!r}", row=row, column="car")
+    values = [_cell_float(c, row, name, required=True) for c, name in zip(cells[5:], ATTRIBUTE_NAMES)]
+    label = -1
+    if has_class:
+        cls_cell = cells[-1].strip()
+        if cls_cell == "":
+            raise CsvFormatError("missing value", row=row, column="class")
+        try:
+            label = SolvencyClass.from_csv_name(cls_cell).value
+        except ValueError as exc:
+            raise CsvFormatError(str(exc), row=row, column="class") from None
+    try:
+        _check_row(company_id, year, tca, tcr, car)
+    except ValueError as exc:
+        raise CsvFormatError(str(exc), row=row) from None
+    return (company_id, year, tca, tcr, car), values, label
 
 
 def load_csv(source, expect_labels: bool = False, allow_duplicates: bool = False) -> Dataset:
@@ -364,11 +439,13 @@ def load_csv(source, expect_labels: bool = False, allow_duplicates: bool = False
     Header (exact names): company_id,year,tca,tcr,car,V1..V11 and optionally
     class. Every row must supply car or the tca/tcr pair; car is recomputed
     from tca/tcr when blank. Rows with blank company_id and year are
-    synthetic. With ``expect_labels`` set and no class column, labels are
-    derived from the CAR bands. Duplicate (company_id, year) pairs are
-    rejected unless ``allow_duplicates`` is set, as sampling with
-    replacement legitimately repeats rows. Rows are checked as the reader
-    yields them, so the first fault in the file is the one reported.
+    synthetic. Numbers are ASCII, ``.``-decimal and without ``_``. With
+    ``expect_labels`` set and no class column, labels are derived from the
+    CAR bands. Duplicate (company_id, year) pairs are rejected unless
+    ``allow_duplicates`` is set, as sampling with replacement legitimately
+    repeats rows. Each row takes a lean path and, should that fail, is
+    checked cell by cell as the reader yields it, so the first fault in the
+    file is the one reported.
 
     Raises :class:`CsvFormatError` naming the offending row and column.
     """
@@ -387,42 +464,18 @@ def load_csv(source, expect_labels: bool = False, allow_duplicates: bool = False
     heads, labels, values = [], [], array("d")  # heads: (company_id, year, tca, tcr, car) per row
     seen: set[tuple[str, int]] = set()
     for row_no, cells in rows:
-        if len(cells) != len(header):
-            raise CsvFormatError(f"expected {len(header)} cells, found {len(cells)}", row=row_no)
-        company_id, year_cell = cells[0].strip() or None, cells[1].strip()
         try:
-            year = int(year_cell) if year_cell else None
-        except ValueError:
-            raise CsvFormatError(f"non-numeric year {year_cell!r}", row=row_no, column="year") from None
-        tca = _cell_float(cells[2], row_no, "tca", required=False)
-        tcr = _cell_float(cells[3], row_no, "tcr", required=False)
-        car = _cell_float(cells[4], row_no, "car", required=False)
-        if car is None:
-            if tca is None or tcr is None:
-                raise CsvFormatError("car is blank and tca/tcr are not both present", row=row_no, column="car")
-            if tcr == 0:
-                raise CsvFormatError("tcr must be nonzero", row=row_no, column="tcr")
-            car = 100.0 * tca / tcr
-            if not math.isfinite(car):
-                raise CsvFormatError(f"100*tca/tcr is not finite: {car!r}", row=row_no, column="car")
-        values.extend(_row_values(cells[5:5 + len(ATTRIBUTE_NAMES)], row_no))
-        if has_class:
-            cls_cell = cells[-1].strip()
-            if cls_cell == "":
-                raise CsvFormatError("missing value", row=row_no, column="class")
-            try:
-                labels.append(SolvencyClass.from_csv_name(cls_cell).value)
-            except ValueError as exc:
-                raise CsvFormatError(str(exc), row=row_no, column="class") from None
-        try:
-            _check_row(company_id, year, tca, tcr, car)
-        except ValueError as exc:
-            raise CsvFormatError(str(exc), row=row_no) from None
+            head, row_values, label = _lean_row(cells, has_class)
+        except (ValueError, KeyError):
+            head, row_values, label = _checked_row(cells, row_no, has_class)
+        company_id, year = head[:2]
         if company_id is not None and not allow_duplicates:
             if (company_id, year) in seen:
                 raise CsvFormatError(f"duplicate company_id/year pair {(company_id, year)!r}", row=row_no)
             seen.add((company_id, year))
-        heads.append((company_id, year, tca, tcr, car))
+        heads.append(head)
+        values.extend(row_values)
+        labels.append(label)
     ids, years, tcas, tcrs, cars = zip(*heads) if heads else [()] * 5
     car_column = np.array(cars, dtype=float)
     if not has_class:
@@ -431,29 +484,59 @@ def load_csv(source, expect_labels: bool = False, allow_duplicates: bool = False
                        np.array(values).reshape(-1, len(ATTRIBUTE_NAMES)), labels)
 
 
+#: Rows formatted per block by :func:`write_csv`; bounds its temporaries.
+_BLOCK_ROWS = 256
+
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
+def _csv_text(text) -> str:
+    """The CSV cell of a text field, ``str(text)``, empty for None.
+
+    Quoted, with each ``"`` doubled, only when the text holds a comma, a
+    ``"``, CR or LF. This is what ``csv.writer`` with ``lineterminator="\n"``
+    writes on Python 3.13; 3.10 to 3.12 leave a CR unquoted, which their
+    reader then rejects.
+    """
+    if text is None:
+        return ""
+    text = str(text)
+    if _NEEDS_QUOTES(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _money_cells(column: np.ndarray) -> list[str]:
+    """``repr`` of each tca or tcr value, empty where NaN (absent)."""
+    return ["" if cell == "nan" else cell for cell in map(repr, column.tolist())]
+
+
 def write_csv(ds: Dataset, dest) -> None:
     """Write the dataset CSV; the inverse of :func:`load_csv` on content.
 
     All eleven value columns are always written regardless of the active
     schema. The class column is written only for fully labeled datasets.
-    Rows are formatted one at a time: floats by ``repr``, absent cells empty.
+    Rows are formatted a block at a time, column by column: floats by
+    ``repr``, absent cells empty, and ``company_id`` by :func:`_csv_text`.
     """
     labeled = ds.y >= 0
     with_class = bool(labeled.all())
     if not with_class and labeled.any():
         raise ValueError("cannot write a partially labeled dataset")
+    names = [cls.csv_name for cls in CLASS_ALPHABET]
     own = not hasattr(dest, "write")
     with open(Path(dest), "w", encoding="utf-8", newline="") if own else nullcontext(dest) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_BASE_COLUMNS + (("class",) if with_class else ()))
-        # tca and tcr are absent together; the writer leaves None cells empty
-        for company_id, year, tca, tcr, car, values, y in zip(
-            ds.company_id, ds.year, ds.tca.tolist(), ds.tcr.tolist(), ds.car.tolist(), ds.values,
-            ds.y.tolist(),
-        ):
-            if math.isnan(tca):
-                tca = tcr = None
-            row = [company_id, year, tca, tcr, car, *values.tolist()]
+        fh.write(",".join(CSV_BASE_COLUMNS + (("class",) if with_class else ())) + "\n")
+        for start in range(0, len(ds), _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            columns = [
+                list(map(_csv_text, ds.company_id[rows].tolist())),
+                ["" if year is None else str(year) for year in ds.year[rows].tolist()],
+                _money_cells(ds.tca[rows]),
+                _money_cells(ds.tcr[rows]),
+                list(map(repr, ds.car[rows].tolist())),
+                *(list(map(repr, column)) for column in ds.values[rows].T.tolist()),
+            ]
             if with_class:
-                row.append(CLASS_ALPHABET[y].csv_name)
-            writer.writerow(row)
+                columns.append(list(map(names.__getitem__, ds.y[rows].tolist())))
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -246,6 +247,22 @@ class TestTrainPredictEvaluate:
         probs = [float(p) for p in m.group("p").split(",")]
         assert abs(sum(probs) - 1.0) < 1e-9
 
+    def test_predict_quotes_company_ids(self, data_csv, tmp_path, capsys):
+        lines = data_csv.read_text().splitlines()
+        lines[1] = '"Acme, Inc."' + lines[1][lines[1].index(","):]
+        lines[2] = '"say ""hi"""' + lines[2][lines[2].index(","):]
+        data_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        model, predictions = tmp_path / "m.tree", tmp_path / "p.csv"
+        assert main(["train", "--input", str(data_csv), "-o", str(model)]) == 0
+        code, _, err = _run(capsys, "predict", "--model", str(model), "--input", str(data_csv),
+                            "-o", str(predictions))
+        assert code == 0, err
+        with open(predictions, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == len(lines) - 1
+        assert {len(row) for row in rows} == {7}
+        assert [row[0] for row in rows[:2]] == ["Acme, Inc.", 'say "hi"']
+
     def test_train_attribute_restriction(self, data_csv, tmp_path, capsys):
         model = tmp_path / "m.tree"
         code, _, _ = _run(
@@ -474,6 +491,18 @@ class TestExitCodes:
         code, _, err = _run(capsys, "select-features", "--input", str(src))
         assert code == 1
         assert "(row 2, column car)" in err
+
+    @pytest.mark.parametrize("year, car", [("２００１", "160.0"), ("2001", "1_6_0"), ("2001", "٥")])
+    def test_number_outside_ascii_is_a_data_error_naming_its_cell(self, tmp_path, capsys, year, car):
+        src = tmp_path / "raw.csv"
+        src.write_text(
+            "company_id,year,tca,tcr,car,V1,V2,V3,V4,V5,V6,V7,V8,V9,V10,V11\n"
+            f"A,{year},,,{car},{','.join(['0.1'] * 11)}\n",
+            encoding="utf-8",
+        )
+        code, _, err = _run(capsys, "label", "--input", str(src))
+        assert code == 1
+        assert f"(row 2, column {'year' if year != '2001' else 'car'})" in err
 
     def test_malformed_csv_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

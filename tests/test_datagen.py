@@ -1,5 +1,7 @@
 import io
+import math
 
+import numpy as np
 import pytest
 
 from solvtree import (
@@ -11,6 +13,8 @@ from solvtree import (
     label_from_car,
     write_csv,
 )
+
+from solvtree.datagen import _CAR_BANDS
 
 from oracles import oracle_depth_limited_correct
 
@@ -60,6 +64,30 @@ def test_separation_six_is_exhaustively_separable():
     rows = [tuple(r.value(a) for a in ds.schema) for r in ds.records]
     labels = [r.label.value for r in ds.records]
     assert oracle_depth_limited_correct(rows, labels, depth=2) == len(ds)
+
+
+def _generate_per_record(spec):
+    """Values and CAR as one ``rng.normal`` call with the class means and one ``rng.uniform`` per record."""
+    rng = np.random.default_rng(spec.seed)
+    means = np.zeros(len(ATTRIBUTE_NAMES))
+    means[: math.ceil(spec.n_attributes / 2)] = 1.0
+    values, car = [], []
+    for cls, count in zip(SolvencyClass, spec.class_counts):
+        for _ in range(count):
+            values.append(rng.normal(means * cls.value * spec.separation, 1.0))
+            car.append(rng.uniform(*_CAR_BANDS[cls]))
+    return np.reshape(values, (-1, len(ATTRIBUTE_NAMES))), np.array(car)
+
+
+@pytest.mark.parametrize("n_attributes", [1, 6, 11])
+@pytest.mark.parametrize("separation", [0.0, 1.0, 6.0])
+@pytest.mark.parametrize("counts", [(7, 3, 5, 9), (4, 0, 2, 3)])
+def test_draws_match_one_normal_call_per_record(n_attributes, separation, counts):
+    spec = GeneratorSpec(counts, separation=separation, n_attributes=n_attributes, seed=11)
+    ds = generate(spec)
+    values, car = _generate_per_record(spec)
+    assert ds.values.tobytes() == values.tobytes()
+    assert ds.car.tobytes() == car.tobytes()
 
 
 def test_spec_validation():

@@ -1,7 +1,9 @@
+import csv
 import functools
 import io
 import math
 import operator
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from solvtree import (
     write_csv,
 )
 
-from solvtree.dataset import _sum_in_order
+from solvtree.dataset import CSV_BASE_COLUMNS, _checked_row, _lean_row, _sum_in_order
 
 from oracles import make_dataset
 
@@ -214,6 +216,23 @@ class TestLoadCsv:
             load_csv(_csv([f"A,2001,1e308,1e-308,,{ELEVEN}"]), expect_labels=expect_labels)
         assert (exc_info.value.row, exc_info.value.column) == (2, "car")
 
+    @pytest.mark.parametrize(
+        "column, cell",
+        [("year", "２００１"), ("year", "2_001"), ("car", "1_6_0"), ("car", "١٦٠"), ("tca", "٥"),
+         ("V3", "٥"), ("V11", "0.5_1")],
+    )
+    def test_numbers_are_ascii_without_underscores(self, column, cell):
+        cells = dict(zip(CSV_BASE_COLUMNS, ["A", "2001", "", "", "160.0", *["0.5"] * 11]))
+        cells[column] = cell
+        with pytest.raises(CsvFormatError) as exc_info:
+            load_csv(_csv([",".join(cells.values())]))
+        assert (exc_info.value.row, exc_info.value.column) == (2, column)
+        assert repr(cell) in str(exc_info.value)
+
+    def test_unicode_padding_around_a_number_is_stripped(self):
+        ds = load_csv(_csv([f"A,\u30002001\u3000,,,\xa0160.0,{ELEVEN}"]))
+        assert ds.year.tolist() == [2001] and ds.car.tolist() == [160.0]
+
     def test_first_fault_in_file_order_is_reported(self):
         rows = [f"A,2001,,,abc,{ELEVEN}", f"B,2001,,,160.0,{ELEVEN}", f"C,2001,,,160.0,{'1' * 200_000}"]
         with pytest.raises(CsvFormatError) as exc_info:
@@ -232,11 +251,10 @@ def _labeled_csv_lines() -> list[str]:
     ]
 
 
-_CELLS = st.one_of(
-    st.text(max_size=12),
-    st.floats().map(repr),
-    st.sampled_from(["", "1e308", "-1e308", "5e-324", "1e400", "strong", '"', ",", "\n", "\x00"]),
-)
+_SPECIAL_CELLS = ["", "1e308", "-1e308", "5e-324", "1e400", "strong", '"', ",", "\n", "\x00", " 1.5 ",
+                  "1_0", "２", "٥", "\xa01.5", "nan", "-inf", "+7", "0x10", "Strong", " strong", "0", "-1"]
+
+_CELLS = st.one_of(st.text(max_size=12), st.floats().map(repr), st.sampled_from(_SPECIAL_CELLS))
 
 
 def _dump(ds) -> str:
@@ -245,26 +263,35 @@ def _dump(ds) -> str:
     return buf.getvalue()
 
 
+def _mutated_csv(data, with_class: bool) -> str:
+    """A valid CSV (:func:`_labeled_csv_lines`) with one to three rows replaced, grown or cut."""
+    lines = _labeled_csv_lines()
+    if not with_class:
+        lines = [line.rsplit(",", 1)[0] for line in lines]
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        cells = lines[i].split(",")
+        kind = data.draw(st.sampled_from(["replace", "add", "drop", "raw line"]))
+        if kind == "replace":
+            cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(_CELLS)
+        elif kind == "add":
+            cells.insert(data.draw(st.integers(0, len(cells))), data.draw(_CELLS))
+        elif kind == "drop":
+            cells.pop(data.draw(st.integers(0, len(cells) - 1)))
+        else:
+            cells = [data.draw(st.text(max_size=40))]
+        lines[i] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+# NUL is a csv.reader error before Python 3.11, in any cell
+_ID_CHARS = st.characters(exclude_characters="\x00" if sys.version_info < (3, 11) else None)
+
+
 class TestCsvFuzz:
     @given(st.data(), st.booleans())
     def test_mutated_csv_loads_or_raises_a_format_error(self, data, with_class):
-        lines = _labeled_csv_lines()
-        if not with_class:
-            lines = [line.rsplit(",", 1)[0] for line in lines]
-        for _ in range(data.draw(st.integers(1, 3))):
-            i = data.draw(st.integers(0, len(lines) - 1))
-            cells = lines[i].split(",")
-            kind = data.draw(st.sampled_from(["replace", "add", "drop", "raw line"]))
-            if kind == "replace":
-                cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(_CELLS)
-            elif kind == "add":
-                cells.insert(data.draw(st.integers(0, len(cells))), data.draw(_CELLS))
-            elif kind == "drop":
-                cells.pop(data.draw(st.integers(0, len(cells) - 1)))
-            else:
-                cells = [data.draw(st.text(max_size=40))]
-            lines[i] = ",".join(cells)
-        text = "\n".join(lines) + "\n"
+        text = _mutated_csv(data, with_class)
         for expect_labels in (False, True):
             for allow_duplicates in (False, True):
                 try:
@@ -272,6 +299,54 @@ class TestCsvFuzz:
                 except CsvFormatError:
                     continue
                 assert isinstance(ds, Dataset)
+
+    @given(st.data(), st.booleans())
+    def test_lean_path_accepts_no_row_the_checked_path_rejects(self, data, with_class):
+        try:
+            rows = list(csv.reader(io.StringIO(_mutated_csv(data, with_class))))
+        except csv.Error:
+            return
+        for row_no, cells in enumerate(rows[1:], 2):
+            try:
+                lean = _lean_row(cells, with_class)
+            except (ValueError, KeyError):
+                continue
+            assert _checked_row(cells, row_no, with_class) == lean
+
+    def test_lean_path_on_each_special_cell_in_each_column(self):
+        for line in _labeled_csv_lines()[1:]:
+            valid = line.split(",")
+            for column in range(len(valid)):
+                for cell in _SPECIAL_CELLS:
+                    cells = valid[:column] + [cell] + valid[column + 1:]
+                    try:
+                        lean = _lean_row(cells, True)
+                    except (ValueError, KeyError):
+                        continue
+                    assert _checked_row(cells, 2, True) == lean, cells
+
+    @given(
+        st.lists(st.text(_ID_CHARS, min_size=1).map(str.strip).filter(bool), min_size=1, max_size=6),
+        st.booleans(),
+    )
+    def test_company_ids_are_quoted_as_csv_writer_quotes_them(self, ids, money):
+        ds = Dataset(
+            CompanyRecord(company_id, 2001 + i, 330.0 if money else None, 220.0 if money else None,
+                          150.0, (0.25 * i,) * 11, SolvencyClass.STRONG)
+            for i, company_id in enumerate(ids)
+        )
+        text = _dump(ds)
+        # csv.writer leaves a CR unquoted before Python 3.13, and its reader then rejects the file
+        if sys.version_info >= (3, 13) or not any("\r" in company_id for company_id in ids):
+            reference = io.StringIO()
+            writer = csv.writer(reference, lineterminator="\n")
+            writer.writerow(CSV_BASE_COLUMNS + ("class",))
+            for r in ds.records:
+                writer.writerow([r.company_id, r.year, r.tca, r.tcr, r.car, *r.values, "strong"])
+            assert text == reference.getvalue()
+        loaded = load_csv(io.StringIO(text))
+        for old, new in zip(ds._columns(), loaded._columns(), strict=True):
+            assert old.tobytes() == new.tobytes() if old.dtype != object else old.tolist() == new.tolist()
 
     @given(
         st.tuples(*[st.integers(2, 6)] * 4),
