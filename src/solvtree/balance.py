@@ -82,12 +82,15 @@ def resample(
             raise ValueError(
                 f"class {cls.csv_name} has no members but draw probability {p:.6g}"
             )
-    members = [np.flatnonzero(y == c) for c in range(N_CLASSES)]
+    members = np.argsort(y, kind="stable")  # row indices class after class, in row order within one
+    sizes = np.array(counts)
+    first = np.cumsum(sizes) - sizes  # where each class starts in members
     size = _round_half_up(sample_size_percent / 100.0 * n)
     rng = np.random.default_rng(seed)
     class_draws = rng.choice(N_CLASSES, size=size, p=probs)
-    rows = [members[c][rng.integers(len(members[c]))] for c in class_draws.tolist()]
-    return ds.take(np.array(rows, dtype=np.intp))
+    # one call takes from the stream exactly what one scalar call per draw would
+    picks = rng.integers(0, sizes[class_draws])
+    return ds.take(members[first[class_draws] + picks])
 
 
 def nearest_neighbors(

@@ -10,26 +10,17 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable
 
 from .balance import BalanceTargets, resample, smote
-from .dataset import (
-    ATTRIBUTE_NAMES,
-    CLASS_ALPHABET,
-    CsvFormatError,
-    Dataset,
-    _car_bands,
-    _csv_text,
-    load_csv,
-    write_csv,
-)
+from .dataset import ATTRIBUTE_NAMES, CLASS_ALPHABET, Dataset, _car_bands, _csv_text, load_csv, write_csv
 from .datagen import GeneratorSpec, generate
 from .evaluate import cross_validate, evaluate_on, render_report, summary_lines
 from .features import greedy_stepwise
 from .tree import LearnerParams, _route, grow
-from .tree_io import ModelFormatError, read_model, render_lines, serialize
+from .tree_io import read_model, render_lines, serialize
 
 SEED_ENV_VAR = "SOLVTREE_SEED"
 
@@ -49,32 +40,9 @@ class PipelineConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "PipelineConfig":
-        """Inverse of :meth:`to_dict`; a malformed key raises ValueError naming it."""
-        d = _config_object(d, "the config")
-        learner = _config_object(d.get("learner", {}), "config key 'learner'")
-        balance = d.get("balance")
-        if balance is not None:
-            balance = _config_object(balance, "config key 'balance'")
-            balance = BalanceTargets(
-                mode=balance.get("mode"),
-                bias_to_uniform=_field(balance, "balance.bias_to_uniform", float, 1.0),
-                sample_size_percent=_field(balance, "balance.sample_size_percent", float, 100.0),
-                target_counts=_field(balance, "balance.target_counts", _int_tuple, None),
-                k_neighbors=_field(balance, "balance.k_neighbors", int, 5),
-            )
-        return cls(
-            seed=_field(d, "seed", int, 0),
-            folds=_field(d, "folds", int, 10),
-            feature_bins=_field(d, "feature_bins", int, 10),
-            learner=LearnerParams(
-                confidence_factor=_field(learner, "learner.confidence_factor", float, 0.25),
-                min_leaf=_field(learner, "learner.min_leaf", int, 2),
-                max_depth=_field(learner, "learner.max_depth", int, None),
-            ),
-            balance=balance,
-            paths=_field(d, "paths", dict, {}),
-        )
+    def from_dict(cls, d) -> "PipelineConfig":
+        """Inverse of :meth:`to_dict`; a value of the wrong JSON type raises ValueError naming its key."""
+        return _section(cls, d, "")
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -88,28 +56,52 @@ class PipelineConfig:
         return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
 
-def _config_object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
-    return value
+_SECTIONS = {"LearnerParams": LearnerParams, "BalanceTargets": BalanceTargets}
 
 
-def _int_tuple(values) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
+def _section(cls, value, key: str):
+    """``cls`` from the JSON object at dotted ``key`` ('' for the whole config).
 
-
-def _field(section: dict, key: str, convert, default):
-    """``convert`` of the entry for dotted ``key``, else of ``default``.
-
-    A key whose default is None may be absent or null.
+    Keys naming a field of ``cls`` are read by the field's annotation and
+    other keys are ignored. An absent key takes the field default, or None
+    when the field has none, for ``cls`` to reject.
     """
-    value = section.get(key.rpartition(".")[2], default)
-    if value is None and default is None:
+    if not isinstance(value, dict):
+        what = f"config key {key!r}" if key else "the config"
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in value:
+            kwargs[f.name] = _read(f.type, value[f.name], f"{key}.{f.name}".lstrip("."))
+        elif f.default is MISSING and f.default_factory is MISSING:
+            kwargs[f.name] = None
+    return cls(**kwargs)
+
+
+def _read(annotation: str, value, key: str):
+    """The config ``value`` at dotted ``key`` as a field of type ``annotation``."""
+    if value is None and annotation.endswith(" | None"):
         return None
+    annotation = annotation.removesuffix(" | None")
+    if annotation in _SECTIONS:
+        return _section(_SECTIONS[annotation], value, key)
     try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
+        return _json_value(annotation, value)
+    except (TypeError, OverflowError):
         raise ValueError(f"config key {key!r} has a bad value {value!r}") from None
+
+
+def _json_value(annotation: str, value):
+    """``value`` as a field of type ``annotation``; TypeError for a wrong JSON type."""
+    if annotation == "str" or (annotation == "int" and type(value) is int):  # a bool is not an int here
+        return value  # the dataclass checks a str itself
+    if annotation == "float" and type(value) in (int, float):
+        return float(value)
+    if annotation.startswith("tuple[") and type(value) is list and all(type(v) is int for v in value):
+        return tuple(value)
+    if annotation == "dict" and type(value) is dict and all(type(v) is str for v in value.values()):
+        return value
+    raise TypeError
 
 
 class CliUsageError(Exception):
@@ -136,10 +128,6 @@ def _attr_list(text: str) -> tuple[str, ...]:
     return names
 
 
-def _write_text(path: str | None, text: str) -> None:
-    _write_lines(path, (text,))
-
-
 def _write_lines(path: str | None, lines: Iterable[str]) -> None:
     """Write text chunks to ``path`` (stdout for None or '-') as they come."""
     if path is None or path == "-":
@@ -153,8 +141,15 @@ def _write_dataset(ds: Dataset, path: str | None) -> None:
     write_csv(ds, sys.stdout if path is None or path == "-" else path)
 
 
+def _write_report(args, cfg: PipelineConfig, report) -> None:
+    _write_lines(args.report or cfg.paths.get("report"), (render_report(report),))
+    summary_path = args.summary or cfg.paths.get("summary")
+    if summary_path:
+        _write_lines(summary_path, (summary_lines(report),))
+
+
 def _config(args) -> PipelineConfig:
-    if getattr(args, "config", None):
+    if args.config:
         if not Path(args.config).is_file():
             raise CliUsageError(f"config file not found: {args.config}")
         return PipelineConfig.from_file(args.config)
@@ -162,26 +157,30 @@ def _config(args) -> PipelineConfig:
 
 
 def _resolve_seed(args, cfg: PipelineConfig) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
-    if getattr(args, "config", None):
+    env = None if args.config else os.environ.get(SEED_ENV_VAR)  # a config's seed wins over the variable
+    if env is None:
         return cfg.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CliUsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return cfg.seed
+    try:
+        return int(env)
+    except ValueError:
+        raise CliUsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def _resolve_input(args, cfg: PipelineConfig, key: str = "input") -> str:
-    path = getattr(args, key.replace("-", "_"), None) or cfg.paths.get(key)
+    path = getattr(args, key) or cfg.paths.get(key)
     if path is None:
         raise CliUsageError(f"no --{key} given and the config provides no '{key}' path")
     if not Path(path).is_file():
         raise CliUsageError(f"input file not found: {path}")
     return path
+
+
+def _training_set(args, cfg: PipelineConfig) -> Dataset:
+    """The labeled input CSV, narrowed to ``--attributes`` when given."""
+    ds = load_csv(_resolve_input(args, cfg), expect_labels=True, allow_duplicates=True)
+    return ds.with_schema(args.attributes) if args.attributes else ds
 
 
 def _flag_or(flag, fallback):
@@ -218,8 +217,7 @@ def _balance_targets(args, cfg: PipelineConfig, mode: str | None) -> BalanceTarg
     )
 
 
-def _cmd_generate(args) -> int:
-    cfg = _config(args)
+def _cmd_generate(args, cfg: PipelineConfig) -> None:
     spec = GeneratorSpec(
         class_counts=args.counts,
         separation=args.separation,
@@ -227,28 +225,22 @@ def _cmd_generate(args) -> int:
         seed=_resolve_seed(args, cfg),
     )
     _write_dataset(generate(spec), args.output or cfg.paths.get("output"))
-    return 0
 
 
-def _cmd_label(args) -> int:
-    cfg = _config(args)
+def _cmd_label(args, cfg: PipelineConfig) -> None:
     ds = load_csv(_resolve_input(args, cfg))
     relabeled = Dataset._of(ds.schema, *ds._columns()[:-1], _car_bands(ds.car))  # a new y column
     _write_dataset(relabeled, args.output or cfg.paths.get("output"))
-    return 0
 
 
-def _cmd_select_features(args) -> int:
-    cfg = _config(args)
+def _cmd_select_features(args, cfg: PipelineConfig) -> None:
     ds = load_csv(_resolve_input(args, cfg), expect_labels=True)
     result = greedy_stepwise(ds, _flag_or(args.bins, cfg.feature_bins))
     print(",".join(result.selected))
     print(f"merit={result.merit!r}")
-    return 0
 
 
-def _cmd_balance(args) -> int:
-    cfg = _config(args)
+def _cmd_balance(args, cfg: PipelineConfig) -> None:
     balance = _balance_targets(args, cfg, args.mode)
     if balance is None:
         raise CliUsageError("no --mode given and the config provides no balance mode")
@@ -259,48 +251,28 @@ def _cmd_balance(args) -> int:
     else:
         out = smote(ds, balance.target_counts, balance.k_neighbors, seed)
     _write_dataset(out, args.output or cfg.paths.get("output"))
-    return 0
 
 
-def _cmd_train(args) -> int:
-    cfg = _config(args)
-    ds = load_csv(_resolve_input(args, cfg), expect_labels=True, allow_duplicates=True)
-    if args.attributes:
-        ds = ds.with_schema(args.attributes)
-    model = grow(ds, _learner(args, cfg))
-    _write_text(args.output or cfg.paths.get("model"), serialize(model))
-    return 0
+def _cmd_train(args, cfg: PipelineConfig) -> None:
+    model = grow(_training_set(args, cfg), _learner(args, cfg))
+    _write_lines(args.output or cfg.paths.get("model"), (serialize(model),))
 
 
-def _cmd_cross_validate(args) -> int:
-    cfg = _config(args)
-    ds = load_csv(_resolve_input(args, cfg), expect_labels=True, allow_duplicates=True)
-    if args.attributes:
-        ds = ds.with_schema(args.attributes)
+def _cmd_cross_validate(args, cfg: PipelineConfig) -> None:
+    ds = _training_set(args, cfg)
     seed = _resolve_seed(args, cfg)
     balance = None if args.balance_mode == "none" else _balance_targets(args, cfg, args.balance_mode)
     report = cross_validate(ds, _flag_or(args.folds, cfg.folds), _learner(args, cfg), balance, seed)
-    _write_text(args.report or cfg.paths.get("report"), render_report(report))
-    summary_path = args.summary or cfg.paths.get("summary")
-    if summary_path:
-        _write_text(summary_path, summary_lines(report))
-    return 0
+    _write_report(args, cfg, report)
 
 
-def _cmd_evaluate(args) -> int:
-    cfg = _config(args)
+def _cmd_evaluate(args, cfg: PipelineConfig) -> None:
     model = read_model(_resolve_input(args, cfg, "model"))
     test = load_csv(_resolve_input(args, cfg, "test"), expect_labels=True, allow_duplicates=True)
-    report = evaluate_on(model, test)
-    _write_text(args.report or cfg.paths.get("report"), render_report(report))
-    summary_path = args.summary or cfg.paths.get("summary")
-    if summary_path:
-        _write_text(summary_path, summary_lines(report))
-    return 0
+    _write_report(args, cfg, evaluate_on(model, test))
 
 
-def _cmd_predict(args) -> int:
-    cfg = _config(args)
+def _cmd_predict(args, cfg: PipelineConfig) -> None:
     model = read_model(_resolve_input(args, cfg, "model"))
     ds = load_csv(_resolve_input(args, cfg), allow_duplicates=True)
     classes, freqs = _route(model.root, ds.values)
@@ -309,21 +281,28 @@ def _cmd_predict(args) -> int:
         + ",".join(map(repr, p))
         for company_id, year, c, p in zip(ds.company_id, ds.year, classes.tolist(), freqs.tolist())
     ]
-    _write_text(args.output or cfg.paths.get("output"), "\n".join(lines) + "\n")
-    return 0
+    _write_lines(args.output or cfg.paths.get("output"), ("\n".join(lines) + "\n",))
 
 
-def _cmd_render_tree(args) -> int:
-    cfg = _config(args)
+def _cmd_render_tree(args, cfg: PipelineConfig) -> None:
     model = read_model(_resolve_input(args, cfg, "model"))
     _write_lines(args.output or cfg.paths.get("output"), render_lines(model))
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="random seed (non-negative)")
     common.add_argument("--config", default=None, help="JSON pipeline config supplying defaults")
+
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("-o", "--output", default=None, help="output path (stdout when absent)")
+
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--model", default=None, help="model file")
+
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--report", default=None, help="report path (stdout when absent)")
+    report.add_argument("--summary", default=None, help="key=value summary path")
 
     learner = argparse.ArgumentParser(add_help=False)
     learner.add_argument("--cf", type=float, default=None, help="pruning confidence factor")
@@ -348,16 +327,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", parents=[common], help="write a seeded synthetic dataset CSV")
+    p = sub.add_parser(
+        "generate", parents=[common, output], help="write a seeded synthetic dataset CSV"
+    )
     p.add_argument("--counts", type=_counts, required=True, help="per-class record counts a,b,c,d")
     p.add_argument("--separation", type=float, default=6.0, help="class mean spacing in within-class sd")
     p.add_argument("--n-attributes", type=int, default=11, help="number of schema attributes (1..11)")
-    p.add_argument("-o", "--output", default=None, help="output CSV path (stdout when absent)")
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("label", parents=[common], help="derive class labels from CAR bands")
+    p = sub.add_parser("label", parents=[common, output], help="derive class labels from CAR bands")
     p.add_argument("--input", default=None, help="input CSV")
-    p.add_argument("-o", "--output", default=None, help="output CSV path (stdout when absent)")
     p.set_defaults(func=_cmd_label)
 
     p = sub.add_parser(
@@ -368,20 +347,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_select_features)
 
     p = sub.add_parser(
-        "balance", parents=[common, balance_flags], help="rebalance classes by resampling or SMOTE"
+        "balance", parents=[common, output, balance_flags], help="rebalance classes by resampling or SMOTE"
     )
     p.add_argument("--input", default=None, help="labeled input CSV")
     p.add_argument("--mode", choices=["resample", "smote"], default=None)
-    p.add_argument("-o", "--output", default=None, help="output CSV path (stdout when absent)")
     p.set_defaults(func=_cmd_balance)
 
-    p = sub.add_parser("train", parents=[common, learner], help="fit and prune a decision tree")
+    p = sub.add_parser("train", parents=[common, output, learner], help="fit and prune a decision tree")
     p.add_argument("--input", default=None, help="labeled training CSV")
-    p.add_argument("-o", "--output", default=None, help="model file path (stdout when absent)")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser(
-        "cross-validate", parents=[common, learner, balance_flags],
+        "cross-validate", parents=[common, report, learner, balance_flags],
         help="stratified k-fold evaluation with optional per-fold balancing",
     )
     p.add_argument("--input", default=None, help="labeled input CSV")
@@ -390,49 +367,45 @@ def build_parser() -> argparse.ArgumentParser:
         "--balance-mode", choices=["resample", "smote", "none"], default=None,
         help="balance each fold's training portion",
     )
-    p.add_argument("--report", default=None, help="report path (stdout when absent)")
-    p.add_argument("--summary", default=None, help="key=value summary path")
     p.set_defaults(func=_cmd_cross_validate)
 
-    p = sub.add_parser("evaluate", parents=[common], help="score a model on a labeled test CSV")
-    p.add_argument("--model", default=None, help="model file")
+    p = sub.add_parser(
+        "evaluate", parents=[common, model, report], help="score a model on a labeled test CSV"
+    )
     p.add_argument("--test", default=None, help="labeled test CSV")
-    p.add_argument("--report", default=None, help="report path (stdout when absent)")
-    p.add_argument("--summary", default=None, help="key=value summary path")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("predict", parents=[common], help="classify records with a saved model")
-    p.add_argument("--model", default=None, help="model file")
+    p = sub.add_parser(
+        "predict", parents=[common, model, output], help="classify records with a saved model"
+    )
     p.add_argument("--input", default=None, help="input CSV")
-    p.add_argument("-o", "--output", default=None, help="output path (stdout when absent)")
     p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("render-tree", parents=[common], help="print a model as indented text")
-    p.add_argument("--model", default=None, help="model file")
-    p.add_argument("-o", "--output", default=None, help="output path (stdout when absent)")
+    p = sub.add_parser(
+        "render-tree", parents=[common, model, output], help="print a model as indented text"
+    )
     p.set_defaults(func=_cmd_render_tree)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Parse, load the config, run the command, and map its errors to exit codes."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage or help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        args.func(args, _config(args))
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"run 'solvtree {args.command} --help' for usage", file=sys.stderr)
         return 2
-    except (CsvFormatError, ModelFormatError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # CsvFormatError and ModelFormatError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -170,6 +170,19 @@ def attribute_column(attribute: str) -> int:
     return _ATTR_INDEX[attribute]
 
 
+def _check_schema(names: Sequence[str]) -> None:
+    """Raise ValueError unless ``names`` are one or more distinct attributes of V1..V11."""
+    if not names:
+        raise ValueError("schema must name at least one attribute")
+    seen: set[str] = set()
+    for name in names:
+        if name not in _ATTR_INDEX:
+            raise ValueError(f"unknown attribute {name!r} in schema")
+        if name in seen:
+            raise ValueError(f"duplicate attribute {name!r} in schema")
+        seen.add(name)
+
+
 #: Dataset columns and their dtypes; absent entries are None (objects) or NaN (floats).
 _COLUMNS = {"company_id": object, "year": object, "tca": float, "tcr": float,
             "car": float, "values": float, "y": np.int64}
@@ -207,15 +220,7 @@ class Dataset:
 
     def _set(self, schema: Sequence[str], *columns) -> None:
         self.schema = tuple(schema)
-        if not self.schema:
-            raise ValueError("schema must name at least one attribute")
-        seen: set[str] = set()
-        for name in self.schema:
-            if name not in _ATTR_INDEX:
-                raise ValueError(f"unknown attribute {name!r} in schema")
-            if name in seen:
-                raise ValueError(f"duplicate attribute {name!r} in schema")
-            seen.add(name)
+        _check_schema(self.schema)
         for (name, dtype), column in zip(_COLUMNS.items(), columns, strict=True):
             column = np.asarray(column, dtype=dtype)
             column.flags.writeable = False

@@ -143,7 +143,9 @@ def best_split(values, labels, params: LearnerParams = LearnerParams()) -> Split
     nr = n - nl
     h_left, h_right = _entropy_rows(left, nl), _entropy_rows(node_counts - left, nr)
     gains = h_node - nl / n * h_left - nr / n * h_right
-    ratios = gains / _entropy_rows(np.column_stack((nl, nr)), n)
+    # split information depends only on nl, so it is computed once per cut position
+    nls = np.arange(lo + 1, hi + 1)
+    ratios = gains / _entropy_rows(np.column_stack((nls, n - nls)), n)[cut - lo]
     mean_gain = _sum_in_order(gains) / gains.size
     eligible = np.flatnonzero(gains >= mean_gain - _TIE_EPS)
     ratio = ratios[eligible]

@@ -6,7 +6,7 @@ from itertools import repeat
 from pathlib import Path
 from typing import Iterator
 
-from .dataset import ATTRIBUTE_NAMES, N_CLASSES
+from .dataset import N_CLASSES, _check_schema
 from .tree import Leaf, LearnerParams, Split, TreeModel, TreeNode, _assemble, _leaf_from_counts
 
 FORMAT_LINE = "solvtree-tree 1"
@@ -120,9 +120,10 @@ def parse(text: str) -> TreeModel:
         except ValueError:
             raise ModelFormatError(f"bad max_depth {raw_depth!r}", reader.pos) from None
     schema = tuple(_header_value(reader, "schema").split(","))
-    for name in schema:
-        if name not in ATTRIBUTE_NAMES:
-            raise ModelFormatError(f"unknown schema attribute {name!r}", reader.pos)
+    try:
+        _check_schema(schema)
+    except ValueError as exc:
+        raise ModelFormatError(str(exc), reader.pos) from None
     trained = _header_value(reader, "trained").split()
     if len(trained) != 2:
         raise ModelFormatError("'trained' header must be '<n> <c,c,c,c>'", reader.pos)

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import solvtree
 from solvtree import (
@@ -28,6 +29,55 @@ def _run(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+_ODD = st.booleans() | st.floats(allow_nan=False) | st.sampled_from(["3", "0.5", "5555"]) | _JSON
+
+
+def _object(*keys: str, **likely) -> st.SearchStrategy:
+    """JSON objects over some of ``keys``; a key in ``likely`` often holds a value drawn from it."""
+    return st.fixed_dictionaries({}, optional={k: likely.get(k, st.nothing()) | _ODD for k in keys})
+
+
+# configs: any JSON value, or objects over the config keys whose values are often plausible;
+# a string in paths can only sit under a key of at most four characters (random JSON keys are
+# that short), and the one such key, 'test', names a file that is read, never written
+_CONFIGS = _JSON | _object(
+    "seed", "folds", "feature_bins", "learner", "balance", "paths", "other",
+    seed=st.integers(0, 2**32), folds=st.integers(2, 5), feature_bins=st.integers(2, 20),
+    learner=_object("confidence_factor", "min_leaf", "max_depth", min_leaf=st.integers(1, 4)),
+    balance=_object(
+        "mode", "bias_to_uniform", "sample_size_percent", "target_counts", "k_neighbors", "seed",
+        mode=st.sampled_from(["resample", "smote"]), bias_to_uniform=st.floats(0, 1),
+        sample_size_percent=st.floats(1, 300),
+        target_counts=st.lists(st.integers(1, 50), min_size=4, max_size=4),
+        k_neighbors=st.integers(1, 6),
+    ),
+    paths=st.dictionaries(
+        st.sampled_from(["input", "output", "model", "test", "report", "summary"]),
+        _JSON.filter(lambda v: not isinstance(v, str)),
+    ),
+)
+
+
+def _tagged(value):
+    """A JSON value with its numbers tagged by kind: True != 1 and 2 != 2.7, but 100 == 100.0."""
+    if isinstance(value, bool):
+        return ("bool", value)
+    if isinstance(value, (int, float)):
+        return ("number", value)
+    if isinstance(value, (list, tuple)):
+        return [_tagged(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _tagged(v) for k, v in value.items()}
+    return value
 
 
 @pytest.fixture()
@@ -422,6 +472,154 @@ class TestConfigAndSeeds:
         ]) == 0
         assert via_env.read_bytes() == explicit.read_bytes()
         capsys.readouterr()
+
+
+COMMANDS = ["generate", "label", "select-features", "balance", "train", "cross-validate", "evaluate",
+            "predict", "render-tree"]
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """A labeled CSV and a model trained on it, for commands that read them."""
+    root = tmp_path_factory.mktemp("cli")
+    data, model = root / "data.csv", root / "model.txt"
+    assert main(["generate", "--counts", "20,8,8,44", "--seed", "7", "-o", str(data)]) == 0
+    assert main(["train", "--input", str(data), "-o", str(model)]) == 0
+    return data, model
+
+
+def _argv(command: str, data: Path, model: Path, out: Path) -> list[str]:
+    """An argv for ``command`` whose one output goes to ``out``; ``balance`` takes its mode from a config."""
+    return {
+        "generate": ["generate", "--counts", "4,4,4,4", "-o", out],
+        "label": ["label", "--input", data, "-o", out],
+        "select-features": ["select-features", "--input", data],
+        "balance": ["balance", "--input", data, "-o", out],
+        "train": ["train", "--input", data, "-o", out],
+        "cross-validate": ["cross-validate", "--input", data, "--folds", "2", "--report", out],
+        "evaluate": ["evaluate", "--model", model, "--test", data, "--report", out],
+        "predict": ["predict", "--model", model, "--input", data, "-o", out],
+        "render-tree": ["render-tree", "--model", model, "-o", out],
+    }[command]
+
+
+def _bad(key: str, value) -> tuple[dict, str]:
+    """A config whose dotted ``key`` holds ``value``, and the key the error must name."""
+    section, _, name = key.rpartition(".")
+    if section == "balance":
+        return {"balance": {"mode": "resample", name: value}}, key
+    return ({section: {name: value}} if section else {name: value}), key
+
+
+_BAD_CONFIGS = [
+    *(_bad(key, v) for key in ("seed", "folds", "feature_bins", "learner.min_leaf", "balance.k_neighbors")
+      for v in (True, 2.7, "3")),
+    _bad("learner.max_depth", 2.9), _bad("learner.max_depth", True), _bad("learner.max_depth", "2"),
+    *(_bad(key, v) for key in ("learner.confidence_factor", "balance.bias_to_uniform",
+                               "balance.sample_size_percent") for v in (True, "0.25", [0.25])),
+    _bad("balance.target_counts", "5555"), _bad("balance.target_counts", [1.5, 1, 1, 1]),
+    _bad("balance.target_counts", [True, 1, 1, 1]), _bad("balance.target_counts", 5),
+    ({"paths": {"input": 5}}, "paths"), ({"paths": {"output": 5}}, "paths"),
+    ({"paths": {"model": None}}, "paths"), ({"paths": ["a.csv"]}, "paths"), ({"paths": "a.csv"}, "paths"),
+]
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize(
+        "config, key", _BAD_CONFIGS, ids=[json.dumps(config) for config, _ in _BAD_CONFIGS]
+    )
+    def test_wrong_json_type_exits_1_naming_the_key(self, command, config, key, cli_files, tmp_path, capsys):
+        cfg, out = tmp_path / "bad.json", tmp_path / "out"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        code, _, err = _run(capsys, *map(str, _argv(command, *cli_files, out)), "--config", str(cfg))
+        assert code == 1
+        assert err.startswith("error:")
+        assert repr(key) in err
+        assert not out.exists()
+
+    def test_bad_value_message(self):
+        with pytest.raises(ValueError) as exc_info:
+            PipelineConfig.from_dict({"learner": {"max_depth": 2.9}})
+        assert str(exc_info.value) == "config key 'learner.max_depth' has a bad value 2.9"
+
+    def test_numbers_load_as_given(self):
+        balance = {"mode": "smote", "sample_size_percent": 100, "target_counts": [5, 6, 7, 8]}
+        cfg = PipelineConfig.from_dict({"seed": 4, "balance": balance})
+        assert cfg.seed == 4
+        assert type(cfg.balance.sample_size_percent) is float
+        assert cfg.balance.target_counts == (5, 6, 7, 8)
+        assert PipelineConfig.from_dict({"learner": {"max_depth": None}}).learner.max_depth is None
+
+    @given(_CONFIGS)
+    def test_from_json_loads_exactly_the_given_values_or_raises_value_error(self, raw):
+        try:
+            cfg = PipelineConfig.from_json(json.dumps(raw))
+        except ValueError:
+            return
+        loaded = cfg.to_dict()
+        for key, value in raw.items():
+            if key not in loaded:
+                continue  # unknown keys are ignored
+            if isinstance(value, dict) and key in ("learner", "balance"):
+                for name, v in value.items():
+                    if name in loaded[key]:
+                        assert _tagged(loaded[key][name]) == _tagged(v), f"{key}.{name}"
+            else:
+                assert _tagged(loaded[key]) == _tagged(value), key
+
+    @given(_CONFIGS)
+    def test_no_command_ends_in_a_traceback(self, cli_files, raw):
+        # every output is given explicitly inside the test directory, and _CONFIGS never
+        # names a file to write
+        data, model = cli_files
+        cfg = data.parent / "fuzz.json"
+        cfg.write_text(json.dumps(raw), encoding="utf-8")
+        for command in ("generate", "balance", "train", "cross-validate", "evaluate", "predict"):
+            argv = _argv(command, data, model, data.parent / "fuzz.out")
+            code = main([*map(str, argv), "--config", str(cfg)])
+            assert code in (0, 1, 2)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_subcommand_help_exits_zero(self, command, capsys):
+        code, out, _ = _run(capsys, command, "--help")
+        assert code == 0
+        assert out.startswith(f"usage: solvtree {command}")
+
+    def test_config_paths_stand_in_for_path_flags(self, tmp_path, capsys):
+        by_flags, by_config = tmp_path / "flags", tmp_path / "config"
+        by_flags.mkdir()
+        by_config.mkdir()
+        flag_of = {"input": "--input", "output": "-o", "model": "--model", "test": "--test",
+                   "report": "--report", "summary": "--summary"}
+        steps = [
+            ("generate", ["--counts", "20,8,8,44", "--seed", "7"], {"output": "data.csv"}),
+            ("label", [], {"input": "data.csv", "output": "labeled.csv"}),
+            ("select-features", [], {"input": "data.csv"}),
+            ("balance", ["--mode", "resample", "--seed", "3"],
+             {"input": "data.csv", "output": "balanced.csv"}),
+            ("train", [], {"input": "balanced.csv", "model": "model.txt"}),
+            ("evaluate", [], {"model": "model.txt", "test": "data.csv", "report": "eval.txt",
+                              "summary": "eval.kv"}),
+            ("cross-validate", ["--folds", "3", "--seed", "1"], {"input": "data.csv", "report": "cv.txt",
+                                                               "summary": "cv.kv"}),
+            ("predict", [], {"model": "model.txt", "input": "data.csv", "output": "predictions.csv"}),
+            ("render-tree", [], {"model": "model.txt", "output": "tree.txt"}),
+        ]
+        for command, extra, paths in steps:
+            flags = [command, *extra]
+            for key, name in paths.items():
+                flag = "-o" if (command, key) == ("train", "model") else flag_of[key]
+                flags += [flag, str(by_flags / name)]
+            cfg = tmp_path / f"{command}.json"
+            cfg.write_text(json.dumps({"paths": {k: str(by_config / v) for k, v in paths.items()}}))
+            flagged, configured = _run(capsys, *flags), _run(capsys, command, *extra, "--config", str(cfg))
+            assert flagged == configured == (0, flagged[1], ""), command
+        names = sorted(p.name for p in by_flags.iterdir())
+        assert names == sorted(p.name for p in by_config.iterdir())
+        assert len(names) == 10
+        for name in names:
+            assert (by_flags / name).read_bytes() == (by_config / name).read_bytes(), name
 
 
 class TestSelectFeatures:

@@ -1,7 +1,9 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from solvtree import (
     Leaf,
@@ -20,6 +22,8 @@ from solvtree import (
 from solvtree.cli import main
 
 from oracles import make_dataset
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def _chain_text(depth: int) -> str:
@@ -55,6 +59,18 @@ class TestRoundTrip:
         again = parse(serialize(model))
         assert again == model
         assert again.root.threshold == 1.0 / 3.0
+
+    @given(
+        st.integers(1, 40).flatmap(lambda n: st.tuples(
+            st.lists(st.tuples(_FINITE, st.sampled_from([0.0, 1.0, 2.0]), _FINITE), min_size=n, max_size=n),
+            st.lists(st.integers(0, 3), min_size=n, max_size=n),
+        )),
+        st.sampled_from([1, 2, 3]),
+    )
+    def test_trees_grown_on_generated_data(self, rows_labels, min_leaf):
+        rows, labels = rows_labels
+        model = grow(make_dataset(rows, labels), LearnerParams(min_leaf=min_leaf))
+        assert parse(serialize(model)) == model
 
     def test_file_round_trip(self, tmp_path):
         model = _random_model(np.random.default_rng(5))
@@ -96,6 +112,12 @@ class TestParseErrors:
         with pytest.raises(ModelFormatError, match="V99"):
             parse(text)
 
+    def test_duplicate_schema_attribute_names_its_line(self):
+        text = self._text().replace("schema V1,V2", "schema V1,V1")
+        with pytest.raises(ModelFormatError, match="duplicate attribute 'V1'") as exc_info:
+            parse(text)
+        assert exc_info.value.line == 5
+
     def test_bad_counts(self):
         model = TreeModel(
             Leaf((1, 0, 0, 0), SolvencyClass.INSOLVENCY), LearnerParams(), ("V1",), (1, (1, 0, 0, 0))
@@ -103,6 +125,53 @@ class TestParseErrors:
         text = serialize(model).replace("leaf 1 0 0 0", "leaf 0 0 0 0")
         with pytest.raises(ModelFormatError, match="positive total"):
             parse(text)
+
+
+_BASE_TEXTS = [serialize(_random_model(np.random.default_rng(seed))) for seed in (9, 21, 40)] + [
+    serialize(TreeModel(Leaf((3, 0, 0, 1), SolvencyClass.INSOLVENCY), LearnerParams(), ("V2", "V5", "V11"),
+                        (4, (3, 0, 0, 1))))
+]
+_ODD_TOKENS = ["V1", "V2", "V11", "V12", "leaf", "split", "none", "0", "-1", "0.5", "nan", "inf",
+               "1e400", "99999999999999999999", "", " ", ","]
+
+
+@st.composite
+def _mutated_model_text(draw) -> str:
+    """A serialized model with one to three of its lines deleted, doubled or edited.
+
+    An edit replaces one token of a line by another token of the same line,
+    an odd token or random text; the six header lines are picked half the time.
+    """
+    lines = draw(st.sampled_from(_BASE_TEXTS)).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, 5) | st.integers(0, len(lines) - 1)) % len(lines)
+        op = draw(st.sampled_from(["token", "token", "delete", "double", "replace"]))
+        if op == "token":
+            parts = re.split(r"([ ,])", lines[i])
+            j = draw(st.integers(0, len(parts) - 1))
+            parts[j] = draw(st.sampled_from(parts) | st.sampled_from(_ODD_TOKENS) | st.text(max_size=4))
+            lines[i] = "".join(parts)
+        elif op == "delete":
+            del lines[i]
+        elif op == "double":
+            lines.insert(i, lines[i])
+        else:
+            lines[i] = draw(st.text(max_size=16))
+    return "\n".join(lines) + "\n"
+
+
+class TestFuzzedModelText:
+    @given(_mutated_model_text())
+    def test_parse_returns_a_usable_model_or_raises_model_format_error(self, text):
+        try:
+            model = parse(text)
+        except ModelFormatError:
+            return
+        # a model that loads is one the rest of the package accepts
+        make_dataset([(0.0,) * 11], [0]).with_schema(model.schema)
+        assert serialize(parse(serialize(model))) == serialize(model)
 
 
 class TestRenderText:
