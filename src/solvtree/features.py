@@ -39,7 +39,8 @@ def discretize(ds: Dataset, n_bins: int = 10) -> DiscretizedView:
     For all-distinct values the bin sizes differ by at most one. Tied values
     collapse into the bin of their lowest rank, otherwise row order would
     leak into the correlation estimates. Learners never see these bins;
-    they exist only to estimate correlations.
+    they exist only to estimate correlations. Any ``n_bins`` from the row
+    count up gives each rank a bin of its own, so it is capped there.
     """
     if n_bins < 2:
         raise ValueError(f"n_bins must be >= 2, got {n_bins}")
@@ -54,7 +55,7 @@ def discretize(ds: Dataset, n_bins: int = 10) -> DiscretizedView:
     # each value takes the rank of the first member of its run of equal values
     rank = np.maximum.accumulate(np.where(run_start, np.arange(n)[:, None], 0), axis=0)
     bins = np.empty(X.shape, dtype=np.int64)
-    np.put_along_axis(bins, order, rank * n_bins // n, axis=0)
+    np.put_along_axis(bins, order, rank * min(n_bins, n) // n, axis=0)  # int64-safe
     return DiscretizedView(bins, n_bins, ds.schema)
 
 

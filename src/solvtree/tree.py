@@ -9,7 +9,8 @@ replacement driven by an inverted binomial tail bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import exp, lgamma, log, log1p, nextafter, pi, sqrt
+from functools import cache, partial
+from math import exp, inf, lgamma, log, log1p, nextafter, pi, sqrt
 from statistics import NormalDist
 from typing import Iterable, Iterator, Union
 
@@ -35,9 +36,7 @@ class LearnerParams:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.confidence_factor <= 0.5:
-            raise ValueError(
-                f"confidence_factor must be in (0, 0.5], got {self.confidence_factor}"
-            )
+            raise ValueError(f"confidence_factor must be in (0, 0.5], got {self.confidence_factor}")
         if self.min_leaf < 1:
             raise ValueError(f"min_leaf must be >= 1, got {self.min_leaf}")
         if self.max_depth is not None and self.max_depth < 0:
@@ -72,25 +71,26 @@ class TreeModel:
 def entropy(counts) -> float:
     """Shannon entropy in bits of a count vector; the total must be positive."""
     vals = [float(c) for c in counts]
-    if any(c < 0 for c in vals):
-        raise ValueError("counts must be non-negative")
+    if not all(0 <= c < inf for c in vals):
+        raise ValueError("counts must be finite and non-negative")
     total = sum(vals)
     if total <= 0:
         raise ValueError("entropy needs at least one positive count")
-    return float(_entropy_rows(np.array([vals]), total)[0])
+    return float(_entropy_cols(np.array(vals)[:, None], total)[0])
 
 
-def _entropy_rows(counts: np.ndarray, totals) -> np.ndarray:
-    """Entropy in bits of each row of ``counts``; ``totals`` are the positive row sums.
+def _entropy_cols(counts, totals) -> np.ndarray:
+    """Entropy in bits at each position of class-major ``counts``, whose sums are ``totals``.
 
-    Terms are added in class order, as a Python sum over one row adds them.
+    Terms are added in class order, in place, as a Python sum adds them. No
+    term is -0.0, so starting from 0.0 or leaving out absent classes changes no sum.
     """
-    p = counts / np.reshape(totals, (-1, 1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0, p * np.log2(p), 0.0)
-    h = terms[:, 0]
-    for j in range(1, terms.shape[1]):
-        h = h + terms[:, j]
+    h = 0.0
+    for c in counts:
+        p = c / totals
+        term = np.log2(p + (p == 0.0))  # log2(1) = 0 gives 0 * log 0 its limit, +0.0
+        term *= p
+        h += term
     return -h
 
 
@@ -114,41 +114,37 @@ def best_split(values, labels, params: LearnerParams = LearnerParams()) -> Split
     when no threshold satisfies the min_leaf constraint.
 
     ``values`` is an (n, k) array-like of attribute columns, ``labels`` the
-    per-row class indices. All attributes are sorted at once, and every
-    candidate is scored in one 2-D array pass from the cumulative class
-    counts of the sorted rows.
+    per-row class indices.
     """
     X = np.asarray(values, dtype=float)
     y = np.asarray(labels, dtype=np.int64)
     n = len(y)
-    if n < 2 or X.shape[1] == 0:
-        return None
     node_counts = np.bincount(y, minlength=N_CLASSES)
-    if node_counts.max() == n:
-        return None
-    h_node = _entropy_rows(node_counts[None, :], n)[0]
     # a cut after sorted row i leaves nl = i + 1 rows on the left; min_leaf bounds i
     lo, hi = params.min_leaf - 1, n - params.min_leaf
-    if lo >= hi:
+    if lo >= hi or X.shape[1] == 0 or node_counts.max() == n:
         return None
-    order = np.argsort(X, axis=0, kind="stable")
-    vs = np.take_along_axis(X, order, axis=0)
-    attrs, cut = np.nonzero((vs[lo:hi] < vs[lo + 1:hi + 1]).T)  # attribute-major candidate order
-    if cut.size == 0:
+    # The sort need not be stable: cuts fall only between distinct values, so
+    # the order of tied rows changes no cut, no left count and no candidate order.
+    order = np.argsort(X.T, axis=1)
+    vs = np.take_along_axis(X.T, order, axis=1)
+    ys = y.take(order)  # each attribute's labels in its sorted order
+    cuts = np.zeros(vs.shape, dtype=bool)
+    np.less(vs[:, lo:hi], vs[:, lo + 1:hi + 1], out=cuts[:, lo:hi])
+    flat = np.flatnonzero(cuts)  # attribute-major candidate order
+    if flat.size == 0:
         return None
-    cut += lo
-    thresholds, nl = vs[cut, attrs], cut + 1
-    left = np.eye(N_CLASSES, dtype=np.int32)[y[order[:hi]]]  # one-hot of the sorted labels
-    left = np.cumsum(left, axis=0, dtype=np.int32, out=left)[cut, attrs]
-    nr = n - nl
-    h_left, h_right = _entropy_rows(left, nl), _entropy_rows(node_counts - left, nr)
-    gains = h_node - nl / n * h_left - nr / n * h_right
-    # split information depends only on nl, so it is computed once per cut position
-    nls = np.arange(lo + 1, hi + 1)
-    ratios = gains / _entropy_rows(np.column_stack((nls, n - nls)), n)[cut - lo]
+    present = np.flatnonzero(node_counts)
+    left = [np.cumsum(ys == j, axis=1, dtype=np.int32).take(flat) for j in present]
+    right = [int(node_counts[j]) - counts for j, counts in zip(present, left)]
+    nl, nr = sum(left), sum(right)
+    h_node = _entropy_cols(node_counts[present, None], n)[0]
+    gains = h_node - nl / n * _entropy_cols(left, nl) - nr / n * _entropy_cols(right, nr)
     mean_gain = _sum_in_order(gains) / gains.size
     eligible = np.flatnonzero(gains >= mean_gain - _TIE_EPS)
-    ratio = ratios[eligible]
+    # split information depends only on nl, so it is computed once per cut position
+    nls = np.arange(1, n)
+    ratio = gains[eligible] / _entropy_cols((nls, n - nls), n)[nl[eligible] - 1]
     # The running best is never more than _TIE_EPS below the running maximum,
     # so only a strict new maximum can displace it.
     rising = np.flatnonzero(ratio[1:] > np.maximum.accumulate(ratio[:-1])) + 1
@@ -158,7 +154,9 @@ def best_split(values, labels, params: LearnerParams = LearnerParams()) -> Split
         if ratio[i] > ratio[best] + _TIE_EPS:
             best = i
     k = eligible[best]
-    return SplitCandidate(int(attrs[k]), float(thresholds[k]), float(gains[k]), float(ratios[k]))
+    a, i = divmod(int(flat[k]), n)
+    threshold = X[X[:, a] == vs[a, i], a][-1]  # a stable sort's pick: keeps a ±0 tie's sign
+    return SplitCandidate(a, float(threshold), float(gains[k]), float(ratio[best]))
 
 
 def _leaf_from_counts(counts) -> Leaf:
@@ -180,9 +178,8 @@ def _grow_preorder(
     while stack:
         rows, depth = stack.pop()
         counts = np.bincount(y[rows], minlength=N_CLASSES)
-        cand = None
-        if counts.max() < rows.size and (params.max_depth is None or depth < params.max_depth):
-            cand = best_split(X[rows], y[rows], params)
+        open_node = counts.max() < rows.size and (params.max_depth is None or depth < params.max_depth)
+        cand = best_split(X[rows], y[rows], params) if open_node else None
         if cand is None:
             yield _leaf_from_counts(counts)
             continue
@@ -316,16 +313,18 @@ def prune(root: TreeNode, cf: float) -> TreeNode:
     of n * pessimistic_error, left subtree first) is compared with the
     error of a single majority leaf; the leaf wins ties. One post-order
     walk on an explicit stack carries each subtree's pruned node, class
-    counts and error sum upward, so no subtree is walked twice and depth
-    is not limited by recursion. The pass is deterministic and idempotent.
+    counts and error sum upward, so no subtree is walked twice, no bound is
+    solved twice and depth is not limited by recursion. The pass is
+    deterministic and idempotent.
     """
+    bound = cache(partial(pessimistic_error, cf=cf))  # one solve per (errors, n) in this call
     done: list[tuple[TreeNode, tuple[int, ...], float]] = []  # pruned subtrees, left before right
     stack: list[tuple[TreeNode, bool]] = [(root, False)]
     while stack:
         node, children_done = stack.pop()
         if isinstance(node, Leaf):
             n = sum(node.class_counts)
-            error = 0.0 if n == 0 else n * pessimistic_error(n - max(node.class_counts), n, cf)
+            error = 0.0 if n == 0 else n * bound(n - max(node.class_counts), n)
             done.append((node, node.class_counts, error))
         elif not children_done:
             stack += ((node, True), (node.right, False), (node.left, False))
@@ -335,7 +334,7 @@ def prune(root: TreeNode, cf: float) -> TreeNode:
             counts = tuple(a + b for a, b in zip(left_counts, right_counts))
             n = sum(counts)
             subtree_error = left_error + right_error
-            leaf_error = n * pessimistic_error(n - max(counts), n, cf)
+            leaf_error = n * bound(n - max(counts), n)
             if leaf_error <= subtree_error:
                 done.append((_leaf_from_counts(counts), counts, leaf_error))
             else:

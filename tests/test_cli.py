@@ -635,6 +635,17 @@ class TestSelectFeatures:
         assert lines[1].startswith("merit=")
         float(lines[1].split("=", 1)[1])
 
+    @pytest.mark.parametrize("bins", [10**9, 2**62, 2**63 - 1, 2**64])
+    def test_bins_from_the_row_count_up_select_alike(self, capsys, tmp_path, bins):
+        # 40 rows: any bin count from 40 up gives each rank a bin of its own
+        data, cfg = tmp_path / "d.csv", tmp_path / "cfg.json"
+        assert main(["generate", "--counts", "10,10,10,10", "--seed", "5", "-o", str(data)]) == 0
+        want = _run(capsys, "select-features", "--input", str(data), "--bins", "40")
+        assert want[0] == 0 and want[2] == ""
+        assert _run(capsys, "select-features", "--input", str(data), "--bins", str(bins)) == want
+        cfg.write_text(json.dumps({"feature_bins": bins}))
+        assert _run(capsys, "select-features", "--input", str(data), "--config", str(cfg)) == want
+
 
 class TestNoRecordObjects:
     def test_every_command_runs_on_columns(self, tmp_path, capsys, monkeypatch):

@@ -18,6 +18,7 @@ from solvtree import (
     Leaf,
     SolvencyClass,
     Split,
+    SplitCandidate,
     TreeModel,
     best_split,
     entropy,
@@ -55,6 +56,11 @@ class TestEntropy:
             entropy([-1, 2])
         with pytest.raises(ValueError):
             entropy([])
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_count_rejected(self, bad):
+        with pytest.raises(ValueError):
+            entropy([bad, 1.0])
 
 
 class TestPessimisticError:
@@ -191,6 +197,108 @@ class TestBestSplit:
         assert moved.gain_ratio == pytest.approx(base.gain_ratio, abs=1e-12)
         if base.attribute_index == 0:
             assert moved.threshold == 2.0 * base.threshold + 1.0
+
+
+def _row_major_best_split(values, labels, params):
+    """The split scorer as it was before attribute-major scoring: the byte reference.
+
+    Stable row-major sort, per-row one-hot cumulative counts, and entropies
+    of (candidates, classes) rows under np.where. The winner scan is the
+    plain loop that the library's strict-new-maximum scan shortcuts.
+    """
+
+    def entropy_rows(counts, totals):
+        p = counts / np.reshape(totals, (-1, 1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(p > 0, p * np.log2(p), 0.0)
+        h = terms[:, 0]
+        for j in range(1, terms.shape[1]):
+            h = h + terms[:, j]
+        return -h
+
+    X = np.asarray(values, dtype=float)
+    y = np.asarray(labels, dtype=np.int64)
+    n = len(y)
+    if n < 2 or X.shape[1] == 0:
+        return None
+    node_counts = np.bincount(y, minlength=4)
+    if node_counts.max() == n:
+        return None
+    h_node = entropy_rows(node_counts[None, :], n)[0]
+    lo, hi = params.min_leaf - 1, n - params.min_leaf
+    if lo >= hi:
+        return None
+    order = np.argsort(X, axis=0, kind="stable")
+    vs = np.take_along_axis(X, order, axis=0)
+    attrs, cut = np.nonzero((vs[lo:hi] < vs[lo + 1:hi + 1]).T)
+    if cut.size == 0:
+        return None
+    cut += lo
+    thresholds, nl = vs[cut, attrs], cut + 1
+    left = np.eye(4, dtype=np.int32)[y[order[:hi]]]
+    left = np.cumsum(left, axis=0, dtype=np.int32, out=left)[cut, attrs]
+    nr = n - nl
+    h_left, h_right = entropy_rows(left, nl), entropy_rows(node_counts - left, nr)
+    gains = h_node - nl / n * h_left - nr / n * h_right
+    nls = np.arange(lo + 1, hi + 1)
+    ratios = gains / entropy_rows(np.column_stack((nls, n - nls)), n)[cut - lo]
+    mean_gain = float(np.add.accumulate(gains)[-1]) / gains.size
+    eligible = np.flatnonzero(gains >= mean_gain - 1e-12)
+    ratio = ratios[eligible].tolist()
+    best = 0
+    for i in range(1, len(ratio)):
+        if ratio[i] > ratio[best] + 1e-12:
+            best = i
+    k = eligible[best]
+    return SplitCandidate(int(attrs[k]), float(thresholds[k]), float(gains[k]), float(ratios[k]))
+
+
+def _assert_same_split(got, want):
+    assert got == want
+    if want is not None:  # == cannot tell -0.0 from 0.0
+        signs = [np.signbit([c.gain, c.threshold]).tolist() for c in (got, want)]
+        assert signs[0] == signs[1]
+
+
+class TestBestSplitAgainstRowMajorScorer:
+    @pytest.mark.parametrize("min_leaf", [1, 2, 3])
+    def test_same_candidate_bit_for_bit(self, min_leaf):
+        rng = np.random.default_rng(100 + min_leaf)
+        params = LearnerParams(min_leaf=min_leaf)
+        found = 0
+        for case in range(264):
+            k, kind = 1 + case % 11, case // 11 % 4
+            n = int(rng.integers(2, 150))
+            classes = rng.choice(4, size=int(rng.integers(1, 5)), replace=False)  # often some absent
+            y = rng.choice(classes, size=n)
+            if kind == 0:  # continuous
+                X = rng.normal(size=(n, k))
+            elif kind == 1:  # tie-heavy integer columns
+                X = rng.integers(0, int(rng.integers(1, 6)), size=(n, k)).astype(float)
+            elif kind == 2:  # ties of -0.0 and 0.0, where only a stable pick keeps the sign
+                X = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(n, k))
+            else:  # labels follow the first column, so some cuts leave pure children
+                X = rng.integers(0, 4, size=(n, k)).astype(float)
+                y = classes[(X[:, 0] >= 2) % len(classes)]
+            want = _row_major_best_split(X, y, params)
+            _assert_same_split(best_split(X, y, params), want)
+            found += want is not None
+        assert found > 150
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_row_order_changes_nothing(self, data):
+        n, k = data.draw(st.integers(2, 40)), data.draw(st.integers(1, 4))
+        value = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]) | st.floats(-1e3, 1e3)
+        X = np.array(data.draw(st.lists(st.lists(value, min_size=k, max_size=k), min_size=n, max_size=n)))
+        y = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        perm = np.array(data.draw(st.permutations(range(n))))
+        params = LearnerParams(min_leaf=data.draw(st.integers(1, 3)))
+        got, want = best_split(X[perm], y[perm], params), best_split(X, y, params)
+        # only the sign of a tied -0.0/0.0 threshold may follow the row order
+        assert got == want
+        if want is not None:
+            assert np.signbit(got.gain) == np.signbit(want.gain)
 
 
 def _training_accuracy(model: TreeModel, ds) -> float:
