@@ -275,7 +275,7 @@ def _cmd_evaluate(args, cfg: PipelineConfig) -> None:
 def _cmd_predict(args, cfg: PipelineConfig) -> None:
     model = read_model(_resolve_input(args, cfg, "model"))
     ds = load_csv(_resolve_input(args, cfg), allow_duplicates=True)
-    classes, freqs = _route(model.root, ds.values)
+    classes, freqs = _route(model, ds.values)
     lines = [
         f"{_csv_text(company_id)},{'' if year is None else year},{CLASS_ALPHABET[c].csv_name},"
         + ",".join(map(repr, p))

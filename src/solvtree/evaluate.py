@@ -189,7 +189,7 @@ def cross_validate(
         if balance is not None:
             train, notes = _balanced_training(train, balance, _fold_seed(seed, i), i)
             warnings.extend(notes)
-        routed.append(_route(grow(train, params).root, ds.values[fold]))
+        routed.append(_route(grow(train, params), ds.values[fold]))
     predicted, probs = map(np.concatenate, zip(*routed))
     return report_from_predictions(ds.label_indices()[np.concatenate(folds)], predicted, probs, warnings)
 
@@ -202,7 +202,7 @@ def evaluate_on(model: TreeModel, test: Dataset) -> EvalReport:
     if len(test) == 0:
         raise ValueError("test set is empty")
     actual = test.label_indices()
-    predicted, probs = _route(model.root, test.values)
+    predicted, probs = _route(model, test.values)
     return report_from_predictions(actual, predicted, probs)
 
 

@@ -8,11 +8,12 @@ replacement driven by an inverted binomial tail bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cache, partial
+from dataclasses import dataclass, field, replace
+from functools import cache, cached_property, partial
 from math import exp, inf, lgamma, log, log1p, nextafter, pi, sqrt
+from operator import add
 from statistics import NormalDist
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -60,12 +61,76 @@ class Split:
 TreeNode = Union[Leaf, Split]
 
 
+def _leaf_class(counts: tuple[int, ...]) -> SolvencyClass:
+    # the first maximum, which is the class-alphabet tie-break
+    return CLASS_ALPHABET[counts.index(max(counts))]
+
+
+@dataclass(frozen=True)
+class _Tree:
+    """A tree as pre-order nodes, one entry per node in each field; ``attribute`` is "" at a leaf.
+
+    A split sends values <= its ``threshold`` to i + 1 and the rest to
+    ``end[i + 1]``, where ``end[i]`` is one past i's subtree; its ``counts``
+    are its children's sums. A reverse pass meets children before parents.
+    """
+
+    attribute: tuple[str, ...]
+    threshold: tuple[float, ...]
+    counts: tuple[tuple[int, ...], ...]
+    end: tuple[int, ...] = field(compare=False)
+
+    def root(self) -> TreeNode:
+        """The Leaf/Split tree, built in one reverse pass."""
+        built: list = [None] * len(self.end)
+        for i, attribute in reversed(list(enumerate(self.attribute))):
+            if attribute:
+                built[i] = Split(attribute, self.threshold[i], built[i + 1], built[self.end[i + 1]])
+            else:
+                built[i] = Leaf(self.counts[i], _leaf_class(self.counts[i]))
+        return built[0]
+
+
+def _link(nodes: Iterable[tuple[str, float, tuple[int, ...]]]) -> _Tree:
+    """Link pre-order (attribute, threshold, counts) triples: one reverse pass sets ends and split counts."""
+    attribute, threshold, counts = map(list, zip(*nodes))
+    end = list(range(1, len(counts) + 1))
+    for i in reversed(range(len(counts))):
+        if attribute[i]:  # the right child is end[i + 1]
+            end[i] = end[end[i + 1]]
+            counts[i] = tuple(map(add, counts[i + 1], counts[end[i + 1]]))
+    return _Tree(tuple(attribute), tuple(threshold), tuple(counts), tuple(end))
+
+
+def _flatten(root: TreeNode) -> _Tree:
+    """The pre-order nodes of a Leaf/Split tree, walked on an explicit stack."""
+    nodes, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Leaf):
+            nodes.append(("", 0.0, tuple(node.class_counts)))
+        else:
+            nodes.append((node.attribute, node.threshold, ()))
+            stack += (node.right, node.left)
+    return _link(nodes)
+
+
 @dataclass(frozen=True)
 class TreeModel:
-    root: TreeNode
+    """A fitted tree. A Leaf/Split root given here is flattened once; :attr:`root` is built on first use."""
+
+    _tree: _Tree
     params: LearnerParams
     schema: tuple[str, ...]
     training_fingerprint: tuple[int, tuple[int, int, int, int]]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self._tree, _Tree):
+            object.__setattr__(self, "_tree", _flatten(self._tree))
+
+    @cached_property
+    def root(self) -> TreeNode:
+        return self._tree.root()
 
 
 def entropy(counts) -> float:
@@ -76,6 +141,10 @@ def entropy(counts) -> float:
     total = sum(vals)
     if total <= 0:
         raise ValueError("entropy needs at least one positive count")
+    if total == inf:  # finite counts whose sum overflows: entropy does not change with scale
+        top = max(vals)
+        vals = [c / top for c in vals]
+        total = sum(vals)
     return float(_entropy_cols(np.array(vals)[:, None], total)[0])
 
 
@@ -159,72 +228,38 @@ def best_split(values, labels, params: LearnerParams = LearnerParams()) -> Split
     return SplitCandidate(a, float(threshold), float(gains[k]), float(ratio[best]))
 
 
-def _leaf_from_counts(counts) -> Leaf:
-    counts = tuple(int(c) for c in counts)
-    # argmax takes the first maximum, which is the class-alphabet tie-break
-    predicted = CLASS_ALPHABET[int(np.argmax(counts))]
-    return Leaf(counts, predicted)
-
-
-def _grow_preorder(
-    X: np.ndarray, y: np.ndarray, schema: tuple[str, ...], params: LearnerParams
-) -> Iterator[Leaf | tuple[str, float]]:
-    """Grow from an explicit stack of (row indices, depth), yielding nodes in pre-order.
-
-    A node is a Leaf, or a split's (attribute, threshold) followed by its
-    left and then its right subtree.
-    """
-    stack = [(np.arange(len(y)), 0)]
+def grow_unpruned(ds: Dataset, params: LearnerParams = LearnerParams()) -> TreeModel:
+    """Growth only; exposed so pruning effects can be inspected."""
+    if len(ds) == 0:
+        raise ValueError("cannot grow a tree on an empty dataset")
+    X, y = ds.matrix(), ds.label_indices()
+    nodes, stack = [], [(np.arange(len(y)), 0)]
     while stack:
         rows, depth = stack.pop()
         counts = np.bincount(y[rows], minlength=N_CLASSES)
         open_node = counts.max() < rows.size and (params.max_depth is None or depth < params.max_depth)
         cand = best_split(X[rows], y[rows], params) if open_node else None
         if cand is None:
-            yield _leaf_from_counts(counts)
+            nodes.append(("", 0.0, tuple(counts.tolist())))
             continue
-        yield schema[cand.attribute_index], cand.threshold
+        nodes.append((ds.schema[cand.attribute_index], cand.threshold, ()))
         left = X[rows, cand.attribute_index] <= cand.threshold
         stack += ((rows[~left], depth + 1), (rows[left], depth + 1))
-
-
-def _assemble(nodes: Iterable[Leaf | tuple[str, float]]) -> TreeNode:
-    """Build a tree from pre-order nodes; splits wait on a stack until both children are built."""
-    pending: list[list] = []  # [attribute, threshold, left child once built]
-    for node in nodes:
-        if isinstance(node, tuple):
-            pending.append([*node, None])
-            continue
-        while pending and pending[-1][2] is not None:
-            attribute, threshold, left = pending.pop()
-            node = Split(attribute, threshold, left, node)
-        if not pending:
-            return node
-        pending[-1][2] = node
-    raise ValueError("pre-order nodes ended before the tree was complete")
-
-
-def grow_unpruned(ds: Dataset, params: LearnerParams = LearnerParams()) -> TreeModel:
-    """Growth only; exposed so pruning effects can be inspected."""
-    if len(ds) == 0:
-        raise ValueError("cannot grow a tree on an empty dataset")
-    y = ds.label_indices()
-    root = _assemble(_grow_preorder(ds.matrix(), y, ds.schema, params))
-    counts = tuple(int(c) for c in np.bincount(y, minlength=N_CLASSES))
-    return TreeModel(root, params, ds.schema, (len(ds), counts))
+    tree = _link(nodes)
+    return TreeModel(tree, params, ds.schema, (len(ds), tree.counts[0]))
 
 
 def grow(ds: Dataset, params: LearnerParams = LearnerParams()) -> TreeModel:
     """Grow a tree by partitioning, then prune it with the confidence factor.
 
-    Growth pops (rows, depth) pairs off an explicit stack, so its depth is
-    not limited by recursion, and scores each node's splits in one pass of
-    :func:`best_split`. A node becomes a leaf when it is pure, when no
-    admissible split exists, or at ``params.max_depth``. Every leaf keeps
-    the class counts of the training records routed to it.
+    Growth pops (rows, depth) pairs off an explicit stack, left child on
+    top, so its depth is not limited by recursion and its nodes come off in
+    pre-order, and scores each node's splits in one pass of :func:`best_split`.
+    A node becomes a leaf when it is pure, when no admissible split exists,
+    or at ``params.max_depth``. Every leaf keeps its training class counts.
     """
     model = grow_unpruned(ds, params)
-    return replace(model, root=prune(model.root, params.confidence_factor))
+    return replace(model, _tree=_prune(model._tree, params.confidence_factor))
 
 
 def pessimistic_error(misclassified: int, n: int, cf: float) -> float:
@@ -311,73 +346,60 @@ def prune(root: TreeNode, cf: float) -> TreeNode:
 
     At each internal node the estimated subtree error (sum over its leaves
     of n * pessimistic_error, left subtree first) is compared with the
-    error of a single majority leaf; the leaf wins ties. One post-order
-    walk on an explicit stack carries each subtree's pruned node, class
-    counts and error sum upward, so no subtree is walked twice, no bound is
-    solved twice and depth is not limited by recursion. The pass is
+    error of a single majority leaf; the leaf wins ties. The pass is
     deterministic and idempotent.
     """
+    return _prune(_flatten(root), cf).root()
+
+
+def _prune(tree: _Tree, cf: float) -> _Tree:
+    """:func:`prune` on pre-order nodes: a reverse pass decides each split from its
+    children's pruned error sums, solving each bound once; a forward pass keeps the rest.
+    """
     bound = cache(partial(pessimistic_error, cf=cf))  # one solve per (errors, n) in this call
-    done: list[tuple[TreeNode, tuple[int, ...], float]] = []  # pruned subtrees, left before right
-    stack: list[tuple[TreeNode, bool]] = [(root, False)]
-    while stack:
-        node, children_done = stack.pop()
-        if isinstance(node, Leaf):
-            n = sum(node.class_counts)
-            error = 0.0 if n == 0 else n * bound(n - max(node.class_counts), n)
-            done.append((node, node.class_counts, error))
-        elif not children_done:
-            stack += ((node, True), (node.right, False), (node.left, False))
-        else:
-            right, right_counts, right_error = done.pop()
-            left, left_counts, left_error = done.pop()
-            counts = tuple(a + b for a, b in zip(left_counts, right_counts))
-            n = sum(counts)
-            subtree_error = left_error + right_error
-            leaf_error = n * bound(n - max(counts), n)
-            if leaf_error <= subtree_error:
-                done.append((_leaf_from_counts(counts), counts, leaf_error))
-            else:
-                done.append((Split(node.attribute, node.threshold, left, right), counts, subtree_error))
-    return done[0][0]
+    error, keep = [0.0] * len(tree.end), [False] * len(tree.end)  # pruned error sums; splits kept
+    for i in reversed(range(len(tree.end))):
+        n = sum(tree.counts[i])
+        error[i] = n * bound(n - max(tree.counts[i]), n) if n else 0.0
+        if tree.attribute[i]:
+            subtree_error = error[i + 1] + error[tree.end[i + 1]]
+            keep[i] = error[i] > subtree_error
+            error[i] = min(error[i], subtree_error)
+    nodes, i = [], 0
+    while i < len(tree.end):
+        nodes.append((tree.attribute[i], tree.threshold[i], ()) if keep[i] else ("", 0.0, tree.counts[i]))
+        i = i + 1 if keep[i] else tree.end[i]
+    return _link(nodes)
 
 
 def predict(model: TreeModel, record: CompanyRecord) -> tuple[SolvencyClass, np.ndarray]:
     """Route a record to its leaf; returns (class, relative-frequency vector)."""
-    classes, freqs = _route(model.root, [record.values])
+    classes, freqs = _route(model, [record.values])
     return CLASS_ALPHABET[classes[0]], freqs[0]
 
 
-def _route(root: TreeNode, values) -> tuple[np.ndarray, np.ndarray]:
-    """Route each row of ``values`` to its leaf on an explicit stack of row-index arrays.
+def _route(model: TreeModel, values) -> tuple[np.ndarray, np.ndarray]:
+    """Route the rows of ``values`` (all eleven attributes, in ``ATTRIBUTE_NAMES`` order) to their leaves.
 
-    ``values`` holds all eleven attributes in ``ATTRIBUTE_NAMES`` order, one
-    row per record. Returns each row's class index and its leaf's relative
-    class frequencies, shape (n, 4).
+    Pre-order node indices and their row-index arrays are popped off an explicit
+    stack. Returns each row's class index and its leaf's class frequencies, shape (n, 4).
     """
+    tree = model._tree
     values = np.asarray(values, dtype=float)
-    classes = np.empty(len(values), dtype=np.int64)
     freqs = np.empty((len(values), N_CLASSES))
-    stack = [(root, np.arange(len(values)))]
+    stack = [(0, np.arange(len(values)))]
     while stack:
-        node, rows = stack.pop()
+        i, rows = stack.pop()
         if rows.size == 0:
             continue
-        if isinstance(node, Leaf):
-            classes[rows] = node.predicted.value
-            freqs[rows] = np.array(node.class_counts, dtype=float) / sum(node.class_counts)
+        if tree.attribute[i]:
+            left = values[rows, attribute_column(tree.attribute[i])] <= tree.threshold[i]
+            stack += ((tree.end[i + 1], rows[~left]), (i + 1, rows[left]))
         else:
-            left = values[rows, attribute_column(node.attribute)] <= node.threshold
-            stack += ((node.right, rows[~left]), (node.left, rows[left]))
-    return classes, freqs
+            freqs[rows] = np.array(tree.counts[i], dtype=float) / sum(tree.counts[i])
+    return freqs.argmax(axis=1), freqs
 
 
 def node_count(node: TreeNode) -> int:
     """Number of nodes (splits plus leaves) in a subtree."""
-    count, stack = 0, [node]
-    while stack:
-        node = stack.pop()
-        count += 1
-        if isinstance(node, Split):
-            stack += (node.left, node.right)
-    return count
+    return len(_flatten(node).end)

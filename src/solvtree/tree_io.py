@@ -1,13 +1,15 @@
-"""Line-oriented text format for tree models plus an indented human rendering."""
+"""Line-oriented text format for tree models plus an indented human rendering.
+
+Both walk a model's pre-order nodes in order; ``parse`` links node lines in one reverse pass.
+"""
 
 from __future__ import annotations
 
-from itertools import repeat
 from pathlib import Path
 from typing import Iterator
 
 from .dataset import N_CLASSES, _check_schema
-from .tree import Leaf, LearnerParams, Split, TreeModel, TreeNode, _assemble, _leaf_from_counts
+from .tree import LearnerParams, TreeModel, _leaf_class, _link
 
 FORMAT_LINE = "solvtree-tree 1"
 
@@ -18,18 +20,6 @@ class ModelFormatError(ValueError):
     def __init__(self, message: str, line: int):
         self.line = line
         super().__init__(f"{message} (line {line})")
-
-
-def _node_lines(root: TreeNode, out: list[str]) -> None:
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            out.append("leaf " + " ".join(str(c) for c in node.class_counts))
-        else:
-            # 17 significant digits round-trip any float64 exactly
-            out.append(f"split {node.attribute} {node.threshold:.17g}")
-            stack += (node.right, node.left)
 
 
 def serialize(model: TreeModel) -> str:
@@ -44,7 +34,10 @@ def serialize(model: TreeModel) -> str:
         "schema " + ",".join(model.schema),
         f"trained {n} " + ",".join(str(c) for c in counts),
     ]
-    _node_lines(model.root, lines)
+    tree = model._tree
+    # 17 significant digits round-trip any float64 exactly
+    lines += (f"split {a} {t:.17g}" if a else "leaf " + " ".join(str(c) for c in leaf_counts)
+              for a, t, leaf_counts in zip(tree.attribute, tree.threshold, tree.counts))
     return "\n".join(lines) + "\n"
 
 
@@ -61,16 +54,20 @@ class _LineReader:
         return line
 
 
-def _header_value(reader: _LineReader, key: str) -> str:
+def _header_value(reader: _LineReader, key: str, convert=str, error: str = ""):
+    """``convert`` of the next line's text after ``key``; its ValueError raises ``error.format(text)``."""
     line = reader.next(f"'{key}' header")
     prefix = key + " "
     if not line.startswith(prefix):
         raise ModelFormatError(f"expected '{key}' header, found {line!r}", reader.pos)
-    return line[len(prefix):]
+    try:
+        return convert(line[len(prefix):])
+    except ValueError:
+        raise ModelFormatError(error.format(line[len(prefix):]), reader.pos) from None
 
 
-def _read_node_line(reader: _LineReader, schema: tuple[str, ...]) -> Leaf | tuple[str, float]:
-    """One pre-order node line: a Leaf, or a split's (attribute, threshold)."""
+def _read_node_line(reader: _LineReader, schema: tuple[str, ...]) -> tuple[str, float, tuple[int, ...]]:
+    """One pre-order node line as an (attribute, threshold, counts) triple; "" is a leaf's attribute."""
     at = reader.pos + 1
     line = reader.next("a node line")
     parts = line.split()
@@ -83,15 +80,14 @@ def _read_node_line(reader: _LineReader, schema: tuple[str, ...]) -> Leaf | tupl
             raise ModelFormatError(f"non-integer leaf count in {line!r}", at) from None
         if any(c < 0 for c in counts) or sum(counts) < 1:
             raise ModelFormatError("leaf counts must be non-negative with a positive total", at)
-        return _leaf_from_counts(counts)
+        return "", 0.0, counts
     if parts and parts[0] == "split":
         if len(parts) != 3:
             raise ModelFormatError(f"split line must be 'split <attr> <threshold>', found {line!r}", at)
-        attribute = parts[1]
-        if attribute not in schema:
-            raise ModelFormatError(f"split attribute {attribute!r} not in schema", at)
+        if parts[1] not in schema:
+            raise ModelFormatError(f"split attribute {parts[1]!r} not in schema", at)
         try:
-            return attribute, float(parts[2])
+            return parts[1], float(parts[2]), ()
         except ValueError:
             raise ModelFormatError(f"non-numeric threshold {parts[2]!r}", at) from None
     raise ModelFormatError(f"expected a 'split' or 'leaf' line, found {line!r}", at)
@@ -103,22 +99,10 @@ def parse(text: str) -> TreeModel:
     first = reader.next("format line")
     if first != FORMAT_LINE:
         raise ModelFormatError(f"unsupported format line {first!r}", 1)
-    try:
-        cf = float(_header_value(reader, "confidence_factor"))
-    except ValueError:
-        raise ModelFormatError("non-numeric confidence_factor", reader.pos) from None
-    try:
-        min_leaf = int(_header_value(reader, "min_leaf"))
-    except ValueError:
-        raise ModelFormatError("non-integer min_leaf", reader.pos) from None
-    raw_depth = _header_value(reader, "max_depth")
-    if raw_depth == "none":
-        max_depth = None
-    else:
-        try:
-            max_depth = int(raw_depth)
-        except ValueError:
-            raise ModelFormatError(f"bad max_depth {raw_depth!r}", reader.pos) from None
+    cf = _header_value(reader, "confidence_factor", float, "non-numeric confidence_factor")
+    min_leaf = _header_value(reader, "min_leaf", int, "non-integer min_leaf")
+    max_depth = _header_value(reader, "max_depth", lambda v: None if v == "none" else int(v),
+                              "bad max_depth {!r}")
     schema = tuple(_header_value(reader, "schema").split(","))
     try:
         _check_schema(schema)
@@ -139,14 +123,17 @@ def parse(text: str) -> TreeModel:
     except ValueError as exc:
         raise ModelFormatError(str(exc), reader.pos) from None
     # node lines are read until the tree is complete; the reader raises at the end of the text
-    root = _assemble(_read_node_line(reader, schema) for _ in repeat(None))
+    nodes, unread = [], 1  # subtrees whose first line is still to come
+    while unread:
+        nodes.append(_read_node_line(reader, schema))
+        unread += 1 if nodes[-1][0] else -1
     if reader.pos != len(reader.lines):
         raise ModelFormatError("trailing content after the tree", reader.pos + 1)
-    return TreeModel(root, params, schema, (n_trained, counts))
+    return TreeModel(_link(nodes), params, schema, (n_trained, counts))
 
 
-def _leaf_text(leaf: Leaf) -> str:
-    return f"{leaf.predicted.csv_name} [{' '.join(str(c) for c in leaf.class_counts)}]"
+def _leaf_text(counts: tuple[int, ...]) -> str:
+    return f"{_leaf_class(counts).csv_name} [{' '.join(str(c) for c in counts)}]"
 
 
 def render_lines(model: TreeModel) -> Iterator[str]:
@@ -156,22 +143,17 @@ def render_lines(model: TreeModel) -> Iterator[str]:
     of a deep chain grows with the square of its depth; yielding lines
     keeps memory at one line.
     """
-    if isinstance(model.root, Leaf):
-        yield _leaf_text(model.root) + "\n"
-        return
-
-    def branches(node: Split, depth: int) -> list[tuple[Split, str, TreeNode, int]]:
-        return [(node, ">", node.right, depth), (node, "<=", node.left, depth)]  # left pops first
-
-    stack = branches(model.root, 0)
-    while stack:
-        node, op, child, depth = stack.pop()
-        head = f"{'|   ' * depth}{node.attribute} {op} {node.threshold:.6g}"
-        if isinstance(child, Leaf):
-            yield f"{head}: {_leaf_text(child)}\n"
-        else:
-            yield f"{head}:\n"
-            stack += branches(child, depth + 1)
+    tree = model._tree
+    up = [(0, 0, "")] * len(tree.end)  # each node's depth, and the parent and test of the branch to it
+    for i, attribute in enumerate(tree.attribute):
+        depth, parent, op = up[i]
+        if attribute:  # both children come later in pre-order
+            up[i + 1], up[tree.end[i + 1]] = (depth + 1, i, "<="), (depth + 1, i, ">")
+        if i:
+            head = f"{'|   ' * (depth - 1)}{tree.attribute[parent]} {op} {tree.threshold[parent]:.6g}"
+            yield f"{head}:\n" if attribute else f"{head}: {_leaf_text(tree.counts[i])}\n"
+        elif not attribute:  # a one-leaf tree
+            yield _leaf_text(tree.counts[0]) + "\n"
 
 
 def render_text(model: TreeModel) -> str:

@@ -7,11 +7,13 @@ from the library code paths it verifies.
 from __future__ import annotations
 
 import math
+from functools import cache, partial
 from itertools import combinations
 
 import numpy as np
 
-from solvtree import CLASS_ALPHABET, CompanyRecord, Dataset, ATTRIBUTE_NAMES
+from solvtree import CLASS_ALPHABET, CompanyRecord, Dataset, ATTRIBUTE_NAMES, Leaf, Split, TreeNode
+from solvtree import pessimistic_error
 
 # CAR values inside each band so synthetic test records stay label-consistent
 _BAND_CAR = {0: 50.0, 1: 110.0, 2: 135.0, 3: 200.0}
@@ -150,3 +152,63 @@ def brute_force_best_subset(ds, view, merit_fn, max_size=None):
                 best_merit = m
                 best_subset = combo
     return best_subset, best_merit
+
+
+def _leaf_from_counts(counts) -> Leaf:
+    counts = tuple(int(c) for c in counts)
+    # argmax takes the first maximum, which is the class-alphabet tie-break
+    predicted = CLASS_ALPHABET[int(np.argmax(counts))]
+    return Leaf(counts, predicted)
+
+
+def reference_prune(root: TreeNode, cf: float) -> TreeNode:
+    """Pessimistic pruning as a post-order walk over Leaf/Split nodes.
+
+    The library's earlier pruner, kept as written: at each internal node the
+    estimated subtree error (sum over its leaves of n * pessimistic_error,
+    left subtree first) is compared with the error of a single majority
+    leaf, and the leaf wins ties. One post-order walk on an explicit stack
+    carries each subtree's pruned node, class counts and error sum upward.
+    """
+    bound = cache(partial(pessimistic_error, cf=cf))  # one solve per (errors, n) in this call
+    done: list[tuple[TreeNode, tuple[int, ...], float]] = []  # pruned subtrees, left before right
+    stack: list[tuple[TreeNode, bool]] = [(root, False)]
+    while stack:
+        node, children_done = stack.pop()
+        if isinstance(node, Leaf):
+            n = sum(node.class_counts)
+            error = 0.0 if n == 0 else n * bound(n - max(node.class_counts), n)
+            done.append((node, node.class_counts, error))
+        elif not children_done:
+            stack += ((node, True), (node.right, False), (node.left, False))
+        else:
+            right, right_counts, right_error = done.pop()
+            left, left_counts, left_error = done.pop()
+            counts = tuple(a + b for a, b in zip(left_counts, right_counts))
+            n = sum(counts)
+            subtree_error = left_error + right_error
+            leaf_error = n * bound(n - max(counts), n)
+            if leaf_error <= subtree_error:
+                done.append((_leaf_from_counts(counts), counts, leaf_error))
+            else:
+                done.append((Split(node.attribute, node.threshold, left, right), counts, subtree_error))
+    return done[0][0]
+
+
+def same_tree(a: TreeNode, b: TreeNode) -> bool:
+    """``a == b`` for Leaf/Split trees, compared node by node on an explicit stack.
+
+    Dataclass equality recurses once per level, so it cannot compare trees
+    thousands of levels deep.
+    """
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if isinstance(x, Leaf) or isinstance(y, Leaf):
+            if x != y:
+                return False
+        elif (x.attribute, x.threshold) != (y.attribute, y.threshold):
+            return False
+        else:
+            stack += ((x.left, y.left), (x.right, y.right))
+    return True

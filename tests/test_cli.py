@@ -14,10 +14,18 @@ import solvtree
 from solvtree import (
     BalanceTargets,
     CompanyRecord,
+    Leaf,
     LearnerParams,
     PipelineConfig,
     class_distribution,
+    evaluate_on,
+    grow,
     load_csv,
+    parse,
+    predict,
+    prune,
+    render_text,
+    serialize,
     write_csv,
 )
 from solvtree.cli import main
@@ -672,6 +680,47 @@ class TestNoRecordObjects:
         for argv in steps:
             code, _, err = _run(capsys, *argv)
             assert code == 0, (argv[0], err)
+
+
+# (rows, labels, train flags): data on which growth stops at the root
+_ONE_NODE_TREES = {
+    "constant-columns": ([(1.0, 2.0)] * 8, [0, 1, 2, 3, 0, 1, 2, 3], []),
+    "single-class": ([(float(i), float(-i)) for i in range(8)], [2] * 8, []),
+    "max-depth-0": ([(float(i), 0.0) for i in range(8)], [0] * 4 + [3] * 4, ["--max-depth", "0"]),
+}
+
+
+class TestOneNodeTrees:
+    @pytest.mark.parametrize("case", sorted(_ONE_NODE_TREES))
+    def test_every_stage_through_library_and_cli(self, case, tmp_path, capsys):
+        rows, labels, flags = _ONE_NODE_TREES[case]
+        ds = make_dataset(rows, labels)
+        model = grow(ds, LearnerParams(max_depth=0 if flags else None))
+        assert isinstance(model.root, Leaf)
+        assert prune(model.root, 0.25) == model.root
+        text = serialize(model)
+        assert parse(text) == model
+        assert serialize(parse(text)) == text
+        rendered = render_text(model)
+        assert rendered == f"{model.root.predicted.csv_name} [{' '.join(map(str, model.root.class_counts))}]\n"
+        assert predict(model, ds.records[0])[0] is model.root.predicted
+        assert evaluate_on(model, ds).n == len(ds)
+
+        data, model_path = str(tmp_path / "d.csv"), str(tmp_path / "m.tree")
+        write_csv(ds, data)
+        steps = [
+            ["train", "--input", data, *flags, "-o", model_path],
+            ["render-tree", "--model", model_path],
+            ["predict", "--model", model_path, "--input", data],
+            ["evaluate", "--model", model_path, "--test", data],
+        ]
+        outputs = {}
+        for argv in steps:
+            code, outputs[argv[0]], err = _run(capsys, *argv)
+            assert (code, err) == (0, ""), argv[0]
+        assert outputs["render-tree"] == rendered
+        assert len(outputs["predict"].splitlines()) == len(ds)
+        assert "Overall accuracy:" in outputs["evaluate"]
 
 
 class TestExitCodes:

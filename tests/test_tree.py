@@ -13,6 +13,7 @@ import solvtree.tree
 
 from solvtree import (
     ATTRIBUTE_NAMES,
+    BalanceTargets,
     GeneratorSpec,
     LearnerParams,
     Leaf,
@@ -21,19 +22,24 @@ from solvtree import (
     SplitCandidate,
     TreeModel,
     best_split,
+    cross_validate,
     entropy,
+    evaluate_on,
     generate,
     grow,
     grow_unpruned,
     invert_binomial_tail,
     node_count,
+    parse,
     pessimistic_error,
     predict,
     prune,
+    render_text,
     serialize,
+    stratified_split,
 )
 
-from oracles import make_dataset, oracle_best_split, random_split_instance
+from oracles import make_dataset, oracle_best_split, random_split_instance, reference_prune, same_tree
 
 
 class TestEntropy:
@@ -56,6 +62,13 @@ class TestEntropy:
             entropy([-1, 2])
         with pytest.raises(ValueError):
             entropy([])
+
+    def test_overflowing_total_is_rescaled(self):
+        # these counts are finite but their float sum is inf; entropy does not change with scale
+        assert entropy([1e308, 1e308]) == 1.0
+        assert entropy([1e308] * 4) == 2.0
+        assert entropy([1.5e308, 1.5e308, 0.0]) == 1.0
+        assert entropy([1e308, 5e307]) == entropy([2, 1])
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_non_finite_count_rejected(self, bad):
@@ -381,7 +394,7 @@ class TestGrow:
         ds = make_dataset([(float(i),) for i in range(2200)], [(i // 2) % 2 for i in range(2200)])
         model = fit(ds)
         assert node_count(model.root) > 2000
-        classes, _ = solvtree.tree._route(model.root, [r.values for r in ds.records])
+        classes, _ = solvtree.tree._route(model, [r.values for r in ds.records])
         assert (classes == ds.label_indices()).all()
 
 class TestPrune:
@@ -465,6 +478,77 @@ class TestPrune:
             assert all(b <= a for a, b in zip(sizes, sizes[1:]))
 
 
+def _peeling_chain(weight: int) -> Split:
+    """3000 splits, each peeling a pure leaf off a mixed right spine: 6001 nodes."""
+    node = Leaf((weight, 0, 0, weight), SolvencyClass.INSOLVENCY)
+    for i in range(3000):
+        pure = (0, 0, 0, weight) if i % 2 else (weight, 0, 0, 0)
+        node = Split("V1", float(3000 - i), Leaf(pure, SolvencyClass(3 if i % 2 else 0)), node)
+    return node
+
+
+class TestPruneMatchesReference:
+    """``prune`` on pre-order nodes gives the trees of the Leaf/Split pruner in ``oracles``."""
+
+    def test_grown_trees(self):
+        for seed in range(40):
+            for separation in (0.5, 1.0, 2.0):
+                root = grow_unpruned(generate(GeneratorSpec((20, 20, 20, 20), separation, seed=seed))).root
+                for cf in (0.05, 0.25, 0.5):
+                    assert prune(root, cf) == reference_prune(root, cf)
+
+    @pytest.mark.parametrize("weight", [1, 2])
+    def test_deep_chain(self, weight):
+        chain = _peeling_chain(weight)
+        assert same_tree(prune(chain, 0.25), reference_prune(chain, 0.25))
+
+    def test_empty_leaf_tie(self):
+        subtree = Split(
+            "V1", 0.5,
+            Leaf((0, 0, 0, 0), SolvencyClass.INSOLVENCY),
+            Leaf((3, 1, 0, 0), SolvencyClass.INSOLVENCY),
+        )
+        assert prune(subtree, 0.25) == reference_prune(subtree, 0.25)
+
+
+class TestPreOrderNodes:
+    def test_hot_paths_build_no_leaf_or_split(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a Leaf or Split was built")
+
+        ds = generate(GeneratorSpec((30, 20, 20, 30), 1.0, seed=4))
+        train, test = stratified_split(ds, 0.7, 4)
+        monkeypatch.setattr(Leaf, "__init__", refuse)
+        monkeypatch.setattr(Split, "__init__", refuse)
+        balance = BalanceTargets("smote", target_counts=(30, 30, 30, 30), k_neighbors=3)
+        assert cross_validate(ds, 5, LearnerParams(), balance, seed=1).n == len(ds)
+        model = parse(serialize(grow(train)))
+        assert evaluate_on(model, test).n == len(test)
+        assert "<=" in render_text(model)
+
+    @staticmethod
+    def _check_round_trips(model: TreeModel) -> None:
+        again = parse(serialize(model))
+        assert TreeModel(model.root, model.params, model.schema, model.training_fingerprint) == model
+        assert again == model
+        # dataclass == recurses once per level, so deep trees are compared node by node
+        assert same_tree(again.root, model.root)
+
+    @settings(deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.5, 1.0, 3.0]), st.integers(1, 3))
+    def test_grown_trees_round_trip(self, seed, separation, min_leaf):
+        ds = generate(GeneratorSpec((12, 6, 6, 12), separation, seed=seed))
+        params = LearnerParams(min_leaf=min_leaf)
+        for model in (grow_unpruned(ds, params), grow(ds, params)):
+            self._check_round_trips(model)
+            assert parse(serialize(model)).root == model.root
+
+    @pytest.mark.parametrize("weight", [1, 2])
+    def test_deep_chain_round_trips(self, weight):
+        self._check_round_trips(TreeModel(_peeling_chain(weight), LearnerParams(), ("V1",),
+                                          (3002 * weight, (1501 * weight, 0, 0, 1501 * weight))))
+
+
 class TestPredict:
     def test_single_leaf_probabilities(self):
         model = TreeModel(
@@ -514,7 +598,8 @@ class TestPredict:
         rng = np.random.default_rng(11)
         rows = [tuple(float(v) for v in rng.integers(0, 12, size=3)) for _ in range(300)]
         ds = make_dataset(rows, [int(v) for v in rng.integers(0, 4, size=300)])
-        root = grow_unpruned(ds).root
+        model = grow_unpruned(ds)
+        root = model.root
         assert node_count(root) > 50
         thresholds = []
         stack = [root]
@@ -528,7 +613,7 @@ class TestPredict:
             row = list(values[0])
             row[ATTRIBUTE_NAMES.index(attribute)] = threshold
             values.append(row)
-        classes, freqs = solvtree.tree._route(root, values)
+        classes, freqs = solvtree.tree._route(model, values)
         for row, cls, freq in zip(values, classes.tolist(), freqs.tolist()):
             node = root
             while isinstance(node, Split):
