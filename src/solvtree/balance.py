@@ -153,12 +153,13 @@ def smote(
                 f"class {cls.csv_name} needs at least 2 members to synthesize, has {have}"
             )
     base, neighbor, fraction = [], [], []  # one entry per synthetic row
+    columns = [ATTRIBUTE_NAMES.index(a) for a in ds.schema]
     for cls in CLASS_ALPHABET:
         deficit = targets[cls.value] - counts[cls.value]
         if deficit == 0:
             continue
         members = np.flatnonzero(y == cls.value)
-        M = ds.take(members).matrix()
+        M = ds.values[np.ix_(members, columns)]  # the class's rows of ds.matrix()
         # Member s is at distance 0 from itself, so dropping it from the stable
         # order over all members leaves the stable order over the others, and
         # the first k+1 rows hold the first k of those whether or not s is there.

@@ -278,10 +278,10 @@ def _cmd_predict(args, cfg: PipelineConfig) -> None:
     classes, freqs = _route(model, ds.values)
     lines = [
         f"{_csv_text(company_id)},{'' if year is None else year},{CLASS_ALPHABET[c].csv_name},"
-        + ",".join(map(repr, p))
+        + ",".join(map(repr, p)) + "\n"
         for company_id, year, c, p in zip(ds.company_id, ds.year, classes.tolist(), freqs.tolist())
     ]
-    _write_lines(args.output or cfg.paths.get("output"), ("\n".join(lines) + "\n",))
+    _write_lines(args.output or cfg.paths.get("output"), ("".join(lines),))
 
 
 def _cmd_render_tree(args, cfg: PipelineConfig) -> None:

@@ -370,37 +370,34 @@ _LABELS = {cls.csv_name: cls.value for cls in CLASS_ALPHABET}
 _N_CELLS = len(CSV_BASE_COLUMNS)  # without the class column
 
 
-def _lean_row(cells: Sequence[str], has_class: bool):
-    """``(company_id, year, tca, tcr, car), values, label`` of a well-formed row.
+def _numbers(cells: Sequence[str], start: int, stop: int, row: int, required: bool = True) -> list:
+    """The number cells ``cells[start:stop]``, each as :func:`_cell_float` reads it.
 
-    The fast path of :func:`load_csv`, for rows as :func:`write_csv` writes
-    them: one plain-number check over all numeric cells, one ``float`` pass,
-    and the cross-column checks only where a row has money cells or lacks
-    its id or year. It raises ValueError or KeyError on every row that
-    :func:`_checked_row` rejects, and on some that it accepts.
+    A group as :func:`write_csv` writes it takes one plain-number check, one
+    ``float`` pass and one finite check. Should any of them fail, as on a
+    padded cell or on finite cells whose sum overflows, the cells are read
+    one by one in column order: that raises the first fault or returns the
+    same floats.
     """
-    if len(cells) != _N_CELLS + has_class:
-        raise ValueError("cell count")
-    numbers = "".join(cells[1:_N_CELLS])
-    if not _plain(numbers):
-        raise ValueError("not a plain number")
-    company_id = cells[0].strip() or None
-    year = int(cells[1]) if cells[1] else None
-    car, *values = map(float, cells[4:_N_CELLS])
-    if not math.isfinite(car + sum(values)):
-        raise ValueError("not finite")
-    tca = tcr = None
-    if cells[2] or cells[3]:
-        tca, tcr = float(cells[2]), float(cells[3])
-        if not math.isfinite(tca + tcr):
-            raise ValueError("not finite")
-    if tca is not None or company_id is None or year is None:
-        _check_row(company_id, year, tca, tcr, car)
-    return (company_id, year, tca, tcr, car), values, _LABELS[cells[-1]] if has_class else -1
+    group = cells[start:stop]
+    try:
+        if _plain("".join(group)):
+            numbers = list(map(float, group))
+            if math.isfinite(sum(numbers)):
+                return numbers
+    except ValueError:
+        pass
+    return [_cell_float(cell, row, column, required) for cell, column in zip(group, CSV_BASE_COLUMNS[start:stop])]
 
 
-def _checked_row(cells: Sequence[str], row: int, has_class: bool):
-    """What :func:`_lean_row` returns, checking cell by cell; raises CsvFormatError at the first fault."""
+def _row(cells: Sequence[str], row: int, has_class: bool):
+    """``(company_id, year, tca, tcr, car), values, label`` of one CSV row.
+
+    Cells are read in column order, the number cells a group at a time by
+    :func:`_numbers`: tca and tcr when either is present, then car and
+    V1..V11, or V1..V11 alone once a blank car is derived from tca/tcr.
+    Raises CsvFormatError at the first fault.
+    """
     if len(cells) != _N_CELLS + has_class:
         raise CsvFormatError(f"expected {_N_CELLS + has_class} cells, found {len(cells)}", row=row)
     company_id, year_cell = cells[0].strip() or None, cells[1].strip()
@@ -410,10 +407,12 @@ def _checked_row(cells: Sequence[str], row: int, has_class: bool):
         year = int(year_cell) if year_cell else None
     except ValueError:
         raise CsvFormatError(f"non-numeric year {year_cell!r}", row=row, column="year") from None
-    tca = _cell_float(cells[2], row, "tca", required=False)
-    tcr = _cell_float(cells[3], row, "tcr", required=False)
-    car = _cell_float(cells[4], row, "car", required=False)
-    if car is None:
+    money = cells[2] or cells[3]
+    tca, tcr = _numbers(cells, 2, 4, row, required=False) if money else (None, None)
+    if cells[4].strip():
+        values = _numbers(cells, 4, _N_CELLS, row)
+        car = values.pop(0)
+    else:
         if tca is None or tcr is None:
             raise CsvFormatError("car is blank and tca/tcr are not both present", row=row, column="car")
         if tcr == 0:
@@ -421,9 +420,9 @@ def _checked_row(cells: Sequence[str], row: int, has_class: bool):
         car = 100.0 * tca / tcr
         if not math.isfinite(car):
             raise CsvFormatError(f"100*tca/tcr is not finite: {car!r}", row=row, column="car")
-    values = [_cell_float(c, row, name, required=True) for c, name in zip(cells[5:], ATTRIBUTE_NAMES)]
-    label = -1
-    if has_class:
+        values = _numbers(cells, 5, _N_CELLS, row)
+    label = _LABELS.get(cells[-1]) if has_class else -1
+    if label is None:
         cls_cell = cells[-1].strip()
         if cls_cell == "":
             raise CsvFormatError("missing value", row=row, column="class")
@@ -431,10 +430,11 @@ def _checked_row(cells: Sequence[str], row: int, has_class: bool):
             label = SolvencyClass.from_csv_name(cls_cell).value
         except ValueError as exc:
             raise CsvFormatError(str(exc), row=row, column="class") from None
-    try:
-        _check_row(company_id, year, tca, tcr, car)
-    except ValueError as exc:
-        raise CsvFormatError(str(exc), row=row) from None
+    if money or (company_id is None) != (year is None):
+        try:
+            _check_row(company_id, year, tca, tcr, car)
+        except ValueError as exc:
+            raise CsvFormatError(str(exc), row=row) from None
     return (company_id, year, tca, tcr, car), values, label
 
 
@@ -448,9 +448,10 @@ def load_csv(source, expect_labels: bool = False, allow_duplicates: bool = False
     ``expect_labels`` set and no class column, labels are derived from the
     CAR bands. Duplicate (company_id, year) pairs are rejected unless
     ``allow_duplicates`` is set, as sampling with replacement legitimately
-    repeats rows. Each row takes a lean path and, should that fail, is
-    checked cell by cell as the reader yields it, so the first fault in the
-    file is the one reported.
+    repeats rows. Each row is read by :func:`_row` as the reader yields it,
+    so the first fault in the file is the one reported: a group of number
+    cells as :func:`write_csv` writes it is read in one pass, and any other
+    group is read again cell by cell to find the fault or the padded value.
 
     Raises :class:`CsvFormatError` naming the offending row and column.
     """
@@ -469,15 +470,12 @@ def load_csv(source, expect_labels: bool = False, allow_duplicates: bool = False
     heads, labels, values = [], [], array("d")  # heads: (company_id, year, tca, tcr, car) per row
     seen: set[tuple[str, int]] = set()
     for row_no, cells in rows:
-        try:
-            head, row_values, label = _lean_row(cells, has_class)
-        except (ValueError, KeyError):
-            head, row_values, label = _checked_row(cells, row_no, has_class)
-        company_id, year = head[:2]
-        if company_id is not None and not allow_duplicates:
-            if (company_id, year) in seen:
-                raise CsvFormatError(f"duplicate company_id/year pair {(company_id, year)!r}", row=row_no)
-            seen.add((company_id, year))
+        head, row_values, label = _row(cells, row_no, has_class)
+        key = head[:2]  # (company_id, year)
+        if key[0] is not None and not allow_duplicates:
+            if key in seen:
+                raise CsvFormatError(f"duplicate company_id/year pair {key!r}", row=row_no)
+            seen.add(key)
         heads.append(head)
         values.extend(row_values)
         labels.append(label)

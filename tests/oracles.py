@@ -9,11 +9,13 @@ from __future__ import annotations
 import math
 from functools import cache, partial
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
 from solvtree import CLASS_ALPHABET, CompanyRecord, Dataset, ATTRIBUTE_NAMES, Leaf, Split, TreeNode
 from solvtree import pessimistic_error
+from solvtree.dataset import _LABELS, _N_CELLS, CsvFormatError, SolvencyClass, _cell_float, _check_row, _plain
 
 # CAR values inside each band so synthetic test records stay label-consistent
 _BAND_CAR = {0: 50.0, 1: 110.0, 2: 135.0, 3: 200.0}
@@ -212,3 +214,82 @@ def same_tree(a: TreeNode, b: TreeNode) -> bool:
         else:
             stack += ((x.left, y.left), (x.right, y.right))
     return True
+
+
+# The CSV row reader as it was: a lean path for rows shaped like write_csv
+# output and a cell-by-cell path for every other row, kept as written.
+
+def _lean_row(cells: Sequence[str], has_class: bool):
+    """``(company_id, year, tca, tcr, car), values, label`` of a well-formed row.
+
+    The fast path of :func:`load_csv`, for rows as :func:`write_csv` writes
+    them: one plain-number check over all numeric cells, one ``float`` pass,
+    and the cross-column checks only where a row has money cells or lacks
+    its id or year. It raises ValueError or KeyError on every row that
+    :func:`_checked_row` rejects, and on some that it accepts.
+    """
+    if len(cells) != _N_CELLS + has_class:
+        raise ValueError("cell count")
+    numbers = "".join(cells[1:_N_CELLS])
+    if not _plain(numbers):
+        raise ValueError("not a plain number")
+    company_id = cells[0].strip() or None
+    year = int(cells[1]) if cells[1] else None
+    car, *values = map(float, cells[4:_N_CELLS])
+    if not math.isfinite(car + sum(values)):
+        raise ValueError("not finite")
+    tca = tcr = None
+    if cells[2] or cells[3]:
+        tca, tcr = float(cells[2]), float(cells[3])
+        if not math.isfinite(tca + tcr):
+            raise ValueError("not finite")
+    if tca is not None or company_id is None or year is None:
+        _check_row(company_id, year, tca, tcr, car)
+    return (company_id, year, tca, tcr, car), values, _LABELS[cells[-1]] if has_class else -1
+
+
+def _checked_row(cells: Sequence[str], row: int, has_class: bool):
+    """What :func:`_lean_row` returns, checking cell by cell; raises CsvFormatError at the first fault."""
+    if len(cells) != _N_CELLS + has_class:
+        raise CsvFormatError(f"expected {_N_CELLS + has_class} cells, found {len(cells)}", row=row)
+    company_id, year_cell = cells[0].strip() or None, cells[1].strip()
+    try:
+        if not _plain(year_cell):
+            raise ValueError(year_cell)
+        year = int(year_cell) if year_cell else None
+    except ValueError:
+        raise CsvFormatError(f"non-numeric year {year_cell!r}", row=row, column="year") from None
+    tca = _cell_float(cells[2], row, "tca", required=False)
+    tcr = _cell_float(cells[3], row, "tcr", required=False)
+    car = _cell_float(cells[4], row, "car", required=False)
+    if car is None:
+        if tca is None or tcr is None:
+            raise CsvFormatError("car is blank and tca/tcr are not both present", row=row, column="car")
+        if tcr == 0:
+            raise CsvFormatError("tcr must be nonzero", row=row, column="tcr")
+        car = 100.0 * tca / tcr
+        if not math.isfinite(car):
+            raise CsvFormatError(f"100*tca/tcr is not finite: {car!r}", row=row, column="car")
+    values = [_cell_float(c, row, name, required=True) for c, name in zip(cells[5:], ATTRIBUTE_NAMES)]
+    label = -1
+    if has_class:
+        cls_cell = cells[-1].strip()
+        if cls_cell == "":
+            raise CsvFormatError("missing value", row=row, column="class")
+        try:
+            label = SolvencyClass.from_csv_name(cls_cell).value
+        except ValueError as exc:
+            raise CsvFormatError(str(exc), row=row, column="class") from None
+    try:
+        _check_row(company_id, year, tca, tcr, car)
+    except ValueError as exc:
+        raise CsvFormatError(str(exc), row=row) from None
+    return (company_id, year, tca, tcr, car), values, label
+
+
+def reference_row(cells, row: int, has_class: bool):
+    """One CSV row as the earlier ``load_csv`` read it: the lean path, else the checked one."""
+    try:
+        return _lean_row(cells, has_class)
+    except (ValueError, KeyError):
+        return _checked_row(cells, row, has_class)

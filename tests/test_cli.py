@@ -159,6 +159,20 @@ class TestBalanceCommand:
         assert code == 0
         assert class_distribution(load_csv(out)) == (8, 8, 8, 8)
 
+    def test_k_above_a_class_size_takes_the_whole_class(self, data_csv, tmp_path):
+        # 19 neighbours is every other member of the largest class SMOTE oversamples (20 rows)
+        for command in (
+            ["balance", "--mode", "smote", "--targets", "30,30,30,44"],
+            ["cross-validate", "--balance-mode", "smote", "--targets", "20,8,8,44"],
+        ):
+            outputs = []
+            for k in ("1000000", "19"):
+                out = tmp_path / f"{command[0]}-{k}.txt"
+                target = ["-o", str(out)] if command[0] == "balance" else ["--report", str(out)]
+                assert main([*command, "--input", str(data_csv), "--k", k, "--seed", "1", *target]) == 0
+                outputs.append(out.read_bytes())
+            assert outputs[0] == outputs[1], command
+
     def test_resample_keeps_size(self, data_csv, tmp_path, capsys):
         out = tmp_path / "res.csv"
         code, _, _ = _run(
@@ -304,6 +318,13 @@ class TestTrainPredictEvaluate:
         assert m is not None
         probs = [float(p) for p in m.group("p").split(",")]
         assert abs(sum(probs) - 1.0) < 1e-9
+
+    def test_predict_on_a_header_only_csv_writes_nothing(self, data_csv, tmp_path):
+        model, header_only, predictions = tmp_path / "m.tree", tmp_path / "h.csv", tmp_path / "p.csv"
+        assert main(["train", "--input", str(data_csv), "-o", str(model)]) == 0
+        header_only.write_text(data_csv.read_text().splitlines()[0] + "\n", encoding="utf-8")
+        assert main(["predict", "--model", str(model), "--input", str(header_only), "-o", str(predictions)]) == 0
+        assert predictions.read_bytes() == b""
 
     def test_predict_quotes_company_ids(self, data_csv, tmp_path, capsys):
         lines = data_csv.read_text().splitlines()
@@ -480,6 +501,17 @@ class TestConfigAndSeeds:
         ]) == 0
         assert via_env.read_bytes() == explicit.read_bytes()
         capsys.readouterr()
+
+    def test_any_config_turns_off_the_env_seed(self, tmp_path, monkeypatch):
+        empty = tmp_path / "empty.json"
+        empty.write_text("{}", encoding="utf-8")
+        monkeypatch.setenv("SOLVTREE_SEED", "9")
+        outputs = {}
+        for name, extra in {"config": ["--config", str(empty)], "env": [], "seed0": ["--seed", "0"]}.items():
+            outputs[name] = tmp_path / f"{name}.csv"
+            assert main(["generate", "--counts", "2,2,2,2", *extra, "-o", str(outputs[name])]) == 0
+        assert outputs["config"].read_bytes() == outputs["seed0"].read_bytes()
+        assert outputs["env"].read_bytes() != outputs["seed0"].read_bytes()
 
 
 COMMANDS = ["generate", "label", "select-features", "balance", "train", "cross-validate", "evaluate",

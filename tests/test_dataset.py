@@ -27,9 +27,9 @@ from solvtree import (
     write_csv,
 )
 
-from solvtree.dataset import CSV_BASE_COLUMNS, _checked_row, _lean_row, _sum_in_order
+from solvtree.dataset import CSV_BASE_COLUMNS, _row, _sum_in_order
 
-from oracles import make_dataset
+from oracles import make_dataset, reference_row
 
 
 class TestLabelFromCar:
@@ -247,12 +247,15 @@ def _labeled_csv_lines() -> list[str]:
     return buf.getvalue().splitlines() + [
         f"Z,2001,300.0,200.0,150.0,{ELEVEN},strong",
         f"Y,2002,330,220,,{ELEVEN},strong",
+        f"X,2003,330.0,220.0,,{ELEVEN},strong",
+        f"W,2004,330.0,220.0,  ,{ELEVEN},strong",
         f",,,,130.5,{ELEVEN},moderate",
     ]
 
 
 _SPECIAL_CELLS = ["", "1e308", "-1e308", "5e-324", "1e400", "strong", '"', ",", "\n", "\x00", " 1.5 ",
-                  "1_0", "２", "٥", "\xa01.5", "nan", "-inf", "+7", "0x10", "Strong", " strong", "0", "-1"]
+                  "1_0", "２", "٥", "\xa01.5", "nan", "-inf", "+7", "0x10", "Strong", " strong", "0", "-1",
+                  "  ", "\u3000", "weak", "WEAK", "ſtrong"]
 
 _CELLS = st.one_of(st.text(max_size=12), st.floats().map(repr), st.sampled_from(_SPECIAL_CELLS))
 
@@ -284,6 +287,18 @@ def _mutated_csv(data, with_class: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _assert_reads_as_reference(cells, row_no, with_class):
+    """``_row`` returns exactly what ``reference_row`` returns, or raises its CsvFormatError."""
+    try:
+        expected = reference_row(cells, row_no, with_class)
+    except CsvFormatError as exc:
+        with pytest.raises(CsvFormatError) as got:
+            _row(cells, row_no, with_class)
+        assert (str(got.value), got.value.row, got.value.column) == (str(exc), exc.row, exc.column), cells
+    else:
+        assert repr(_row(cells, row_no, with_class)) == repr(expected), cells
+
+
 # NUL is a csv.reader error before Python 3.11, in any cell
 _ID_CHARS = st.characters(exclude_characters="\x00" if sys.version_info < (3, 11) else None)
 
@@ -301,29 +316,21 @@ class TestCsvFuzz:
                 assert isinstance(ds, Dataset)
 
     @given(st.data(), st.booleans())
-    def test_lean_path_accepts_no_row_the_checked_path_rejects(self, data, with_class):
+    def test_row_reader_matches_the_reference_on_mutated_rows(self, data, with_class):
         try:
             rows = list(csv.reader(io.StringIO(_mutated_csv(data, with_class))))
         except csv.Error:
             return
         for row_no, cells in enumerate(rows[1:], 2):
-            try:
-                lean = _lean_row(cells, with_class)
-            except (ValueError, KeyError):
-                continue
-            assert _checked_row(cells, row_no, with_class) == lean
+            _assert_reads_as_reference(cells, row_no, with_class)
 
-    def test_lean_path_on_each_special_cell_in_each_column(self):
-        for line in _labeled_csv_lines()[1:]:
-            valid = line.split(",")
-            for column in range(len(valid)):
-                for cell in _SPECIAL_CELLS:
-                    cells = valid[:column] + [cell] + valid[column + 1:]
-                    try:
-                        lean = _lean_row(cells, True)
-                    except (ValueError, KeyError):
-                        continue
-                    assert _checked_row(cells, 2, True) == lean, cells
+    def test_row_reader_matches_the_reference_on_each_special_cell_in_each_column(self):
+        for with_class in (True, False):
+            for line in _labeled_csv_lines()[1:]:
+                valid = line.split(",") if with_class else line.split(",")[:-1]
+                for column in range(len(valid)):
+                    for cell in _SPECIAL_CELLS:
+                        _assert_reads_as_reference(valid[:column] + [cell] + valid[column + 1:], 2, with_class)
 
     @given(
         st.lists(st.text(_ID_CHARS, min_size=1).map(str.strip).filter(bool), min_size=1, max_size=6),
