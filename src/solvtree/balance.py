@@ -109,15 +109,47 @@ def nearest_neighbors(
         raise ValueError("pool must not be empty")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    q = np.array([query.value(a) for a in schema])
-    P = np.array([[r.value(a) for a in schema] for r in pool])
-    return [pool[i] for i in _nearest_rows(P, q, k).tolist()]
+    X = np.array([[r.value(a) for a in schema] for r in (query, *pool)])
+    return [pool[i] for i in _nearest_block(X[1:], X[:1], k)[0].tolist()]
 
 
-def _nearest_rows(P: np.ndarray, q: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k rows of P nearest to q, ascending distance, ties in row order."""
-    d = np.sqrt(((P - q) ** 2).sum(axis=1))
-    return np.argsort(d, kind="stable")[:k]
+_CHUNK = 2**15  # elements in one chunk's (queries, rows, attributes) differences
+
+
+def _squared_distances(M: np.ndarray, Q: np.ndarray):
+    """Squared distances from chunks of Q's rows to M's rows; each row is ((M - q) ** 2).sum(axis=1)."""
+    step = max(1, _CHUNK // max(M.size, 1))
+    for i in range(0, len(Q), step):
+        diff = M[None] - Q[i : i + step, None]
+        yield np.square(diff, out=diff).sum(axis=2)  # a contiguous last axis, as in the row form
+
+
+def _nearest_block(M: np.ndarray, Q: np.ndarray, k: int) -> np.ndarray:
+    """Per row of Q, the k rows of M nearest to it, ascending distance, ties in row order."""
+    # roots, not squares: distinct squares can round to one root, and then row order decides;
+    # copies, so that no chunk's whole sort outlives it
+    return np.concatenate([np.argsort(np.sqrt(d, out=d), axis=1, kind="stable")[:, :k].copy()
+                           for d in _squared_distances(M, Q)])
+
+
+def _draws(entropy: list[int], nn: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """What ``count`` pairs of rng.integers(nn), rng.random() calls on a fresh rng return.
+
+    PCG64 serves random() by one raw output and integers(nn) by Lemire's method on one
+    32-bit half of one, low half first; integers(1) draws nothing. Where Lemire would
+    draw again, the calls are made one by one.
+    """
+    size = count if nn == 1 else 3 * ((count + 1) // 2)
+    raw = np.random.PCG64(np.random.SeedSequence(entropy)).random_raw(size)
+    if nn == 1:
+        return np.zeros(count, dtype=np.intp), (raw >> 11) * 2.0**-53
+    raw = raw.reshape(-1, 3)  # per two call pairs: both picks' halves, then both fractions
+    m = np.column_stack((raw[:, 0] & 0xFFFFFFFF, raw[:, 0] >> 32)).ravel()[:count] * nn
+    if ((m & 0xFFFFFFFF) >= 2**32 % nn).all():
+        return (m >> 32).astype(np.intp), (raw[:, 1:].ravel()[:count] >> 11) * 2.0**-53
+    rng = np.random.default_rng(np.random.SeedSequence(entropy))
+    picks, fractions = zip(*[(rng.integers(nn), rng.random()) for _ in range(count)])
+    return np.array(picks, dtype=np.intp), np.array(fractions)
 
 
 def smote(
@@ -135,6 +167,12 @@ def smote(
     synthetic rows carry the class label but no company identity. Per-class
     random streams derive from (seed, class index), so synthesis is
     deterministic and classes are independent.
+
+    Each class runs in numpy blocks: its visited members' distances come in
+    row chunks of bounded size with one stable sort per chunk, and every
+    pick and fraction is read from one block of raw PCG64 outputs the way
+    numpy's scalar calls read them (``_draws``; a test pins these numpy
+    internals, and a class with a rejected draw makes the scalar calls).
     """
     targets = tuple(int(c) for c in target_counts)
     if len(targets) != N_CLASSES:
@@ -152,32 +190,29 @@ def smote(
             raise ValueError(
                 f"class {cls.csv_name} needs at least 2 members to synthesize, has {have}"
             )
-    base, neighbor, fraction = [], [], []  # one entry per synthetic row
+    parts = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)]  # base, neighbor and fraction rows
     columns = [ATTRIBUTE_NAMES.index(a) for a in ds.schema]
     for cls in CLASS_ALPHABET:
         deficit = targets[cls.value] - counts[cls.value]
         if deficit == 0:
             continue
         members = np.flatnonzero(y == cls.value)
+        nn = min(k_neighbors, len(members) - 1)
         M = ds.values[np.ix_(members, columns)]  # the class's rows of ds.matrix()
+        visited = min(deficit, len(members))
         # Member s is at distance 0 from itself, so dropping it from the stable
         # order over all members leaves the stable order over the others, and
-        # the first k+1 rows hold the first k of those whether or not s is there.
-        neighbor_rows = []
-        for s in range(min(deficit, len(members))):
-            order = _nearest_rows(M, M[s], k_neighbors + 1)
-            neighbor_rows.append(order[order != s][:k_neighbors].tolist())
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, cls.value]))
-        for t in range(deficit):
-            s = t % len(members)
-            neighbors = neighbor_rows[s]
-            base.append(members[s])
-            neighbor.append(members[neighbors[int(rng.integers(len(neighbors)))]])
-            fraction.append(float(rng.random()))
+        # the first nn+1 columns hold the first nn of those whether or not s is there.
+        order = _nearest_block(M, M[:visited], nn + 1)
+        keep = order != np.arange(visited)[:, None]
+        keep &= np.cumsum(keep, axis=1) <= nn
+        s = np.arange(deficit) % len(members)
+        picks, fraction = _draws([seed, cls.value], nn, deficit)
+        parts.append((members[s], members[order[keep].reshape(visited, nn)[s, picks]], fraction))
     # Every numeric column moves by the same fraction u along a + u * (b - a),
     # so the synthetic row is a valid CSV row; car stays in its band because
     # bands are intervals.
-    base, neighbor, u = np.array(base, dtype=np.intp), np.array(neighbor, dtype=np.intp), np.array(fraction)
+    base, neighbor, u = map(np.concatenate, zip(*parts))
 
     def interpolate(column: np.ndarray, weight: np.ndarray) -> np.ndarray:
         # a + weight * (b - a) of the base and neighbor rows, in place of b's copy

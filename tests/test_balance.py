@@ -18,6 +18,7 @@ from solvtree import (
     smote,
     write_csv,
 )
+from solvtree import balance
 
 from oracles import make_dataset
 
@@ -46,6 +47,13 @@ def _smote_reference(ds, targets, k, seed):
     return out
 
 
+def _scalar_draws(entropy, nn, count):
+    """The (rng.integers(nn), rng.random()) calls SMOTE's draw block stands for, one pair at a time."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=entropy))
+    pairs = [(int(rng.integers(nn)), float(rng.random())) for _ in range(count)]
+    return [p for p, _ in pairs], np.array([u for _, u in pairs])
+
+
 class TestNearestNeighbors:
     def test_pool_of_one(self):
         ds = make_dataset([(0.0, 0.0), (1.0, 0.0)], [0, 0])
@@ -62,6 +70,15 @@ class TestNearestNeighbors:
         q, a, b, c = ds.records
         got = nearest_neighbors(q, [c, a, b], k=2, schema=ds.schema)
         assert got == [c, a]
+
+    def test_squares_that_share_a_root_tie(self):
+        # distances are compared as roots: these squares differ in the last bit but
+        # their roots are equal, so the tie goes to pool order
+        near, far = (0.04097352393619469, 0.016527635528529094), (0.04097352393619469, 0.016527635528529098)
+        ds = make_dataset([(0.0, 0.0), near, far], [0] * 3)
+        q, a, b = ds.records
+        assert sum(v * v for v in near) < sum(v * v for v in far)
+        assert nearest_neighbors(q, [b, a], k=1, schema=ds.schema) == [b]
 
     def test_empty_pool_rejected(self):
         ds = make_dataset([(0.0,)], [0])
@@ -208,6 +225,28 @@ class TestSmoteReference:
                 _smote_reference(ds, targets, 3, seed=8)
             )
 
+    def test_class_of_several_chunks_matches_reference(self):
+        # 300 insolvency members over three attributes: the visited members' distances
+        # come in several chunks, and duplicated rows tie across chunk boundaries
+        base = generate(GeneratorSpec((200, 6, 8, 10), seed=5))
+        ds = self._with_duplicates(base, 2).with_schema(("V3", "V7", "V10"))
+        M = ds.matrix()[ds.label_indices() == 0]
+        assert len(M) == 300 and len(list(balance._squared_distances(M, M))) > 2
+        counts = class_distribution(ds)
+        targets = (counts[0] + 330, counts[1] + 7, counts[2], counts[3] + 12)
+        assert smote(ds, targets, k_neighbors=4, seed=6).records == tuple(
+            _smote_reference(ds, targets, 4, seed=6)
+        )
+
+    @pytest.mark.parametrize("schema", [("V3", "V7", "V10"), tuple(f"V{i}" for i in range(1, 12))])
+    def test_block_distances_equal_the_row_form(self, schema):
+        # the 8-accumulator pairwise sum applies from 8 attributes on; both forms must use it alike
+        ds = self._with_duplicates(generate(GeneratorSpec((200, 6, 8, 10), seed=5)), 2).with_schema(schema)
+        M = ds.matrix()[ds.label_indices() == 0]
+        block = np.concatenate(list(balance._squared_distances(M, M)))
+        for q, row in zip(M, block):
+            assert row.tobytes() == ((M - q) ** 2).sum(axis=1).tobytes()
+
     def test_all_tied_class_matches_reference(self):
         # V1 ties every member with every other, so neighbours fall back to
         # member order; V2 is outside the schema and shows which one was taken
@@ -217,6 +256,33 @@ class TestSmoteReference:
         assert smote(ds, targets, k_neighbors=2, seed=1).records == tuple(
             _smote_reference(ds, targets, 2, seed=1)
         )
+
+
+class TestDraws:
+    """SMOTE reads its picks and fractions from one block of raw PCG64 outputs,
+    following numpy internals; these tests fail loudly if numpy changes them."""
+
+    @pytest.mark.parametrize("nn", [1, 2, 3, 5, 7])
+    def test_block_matches_scalar_calls(self, nn):
+        for seed in range(10):
+            for count in (1, 2, 3, 17, 1000):
+                entropy = [seed, seed % 4]
+                picks, fractions = balance._draws(entropy, nn, count)
+                want_picks, want_fractions = _scalar_draws(entropy, nn, count)
+                assert picks.tolist() == want_picks, (seed, count)
+                assert fractions.tobytes() == want_fractions.tobytes(), (seed, count)
+
+    def test_rejected_draw_falls_back_to_scalar_calls(self):
+        # with nn = 3 * 2**30, Lemire's method rejects a quarter of all values, so reading
+        # one value per pick no longer matches the calls and the fallback must run
+        nn, count = 3 * 2**30, 40
+        raw = np.random.PCG64(np.random.SeedSequence([4, 1])).random_raw(60).reshape(-1, 3)
+        one_value_each = (np.column_stack((raw[:, 0] & 0xFFFFFFFF, raw[:, 0] >> 32)).ravel() * nn) >> 32
+        want_picks, want_fractions = _scalar_draws([4, 1], nn, count)
+        assert one_value_each.tolist() != want_picks
+        picks, fractions = balance._draws([4, 1], nn, count)
+        assert picks.tolist() == want_picks
+        assert fractions.tobytes() == want_fractions.tobytes()
 
 
 class TestBalanceTargets:

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -8,7 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import solvtree
 from solvtree import (
@@ -660,6 +662,45 @@ class TestConfigTypes:
         assert len(names) == 10
         for name in names:
             assert (by_flags / name).read_bytes() == (by_config / name).read_bytes(), name
+
+
+# balancing flag values: mostly valid, else negative, zero, nan, inf, overflowing or malformed;
+# targets stay <= 2000 and percents <= 300, so no example allocates much
+_FLAG_ODD = st.integers(-3, 40).map(str) | st.floats(-1, 3).map(repr) | st.sampled_from(
+    ["nan", "inf", "-inf", "-0.0", "1e400", "", "x", "1_0", "0x10", "2,", "1,2,3", "1,,2,3", "a,b,c,d"]
+)
+
+
+def _mostly(valid: st.SearchStrategy) -> st.SearchStrategy:
+    return st.integers(0, 3).flatmap(lambda i: _FLAG_ODD if i == 0 else valid)
+
+
+_BALANCE_FLAGS = st.fixed_dictionaries({}, optional={
+    "--k": _mostly(st.integers(1, 30).map(str)),
+    "--targets": _mostly(st.lists(st.integers(-1, 60) | st.just(2000), min_size=4, max_size=4).map(
+        lambda c: ",".join(map(str, c)))),
+    "--bias": _mostly(st.floats(0, 1).map(repr)),
+    "--percent": _mostly(st.floats(1, 300).map(repr)),
+    "--seed": _mostly(st.integers(0, 2**64).map(str)),
+})
+
+
+class TestBalanceFlagFuzz:
+    @settings(deadline=None)
+    @given(st.sampled_from(["balance", "cross-validate"]),
+           _mostly(st.sampled_from(["resample", "smote"])) | st.sampled_from([None, "SMOTE"]), _BALANCE_FLAGS)
+    def test_balance_flags_exit_cleanly(self, cli_files, command, mode, flags):
+        data, _ = cli_files
+        out = data.parent / "fuzz-balance.out"
+        argv = [command, "--input", str(data), *(f"{flag}={value}" for flag, value in flags.items())]
+        if mode is not None:
+            argv += ["--mode" if command == "balance" else "--balance-mode", mode]
+        argv += ["-o", str(out)] if command == "balance" else ["--folds", "2", "--report", str(out)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestSelectFeatures:
