@@ -402,8 +402,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(f"run 'solvtree {args.command} --help' for usage", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:  # CsvFormatError and ModelFormatError included
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError, OverflowError) as exc:
+        # CsvFormatError and ModelFormatError are ValueErrors; the other two mean a size no array can hold
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

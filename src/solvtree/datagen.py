@@ -34,8 +34,9 @@ class GeneratorSpec:
             raise ValueError("class_counts must have one entry per class")
         if any(c < 0 for c in self.class_counts):
             raise ValueError("class_counts must be non-negative")
-        if not (math.isfinite(self.separation) and self.separation >= 0):
-            raise ValueError(f"separation must be finite and >= 0, got {self.separation}")
+        if not (math.isfinite((N_CLASSES - 1) * self.separation) and self.separation >= 0):
+            raise ValueError(f"separation must be >= 0 with a finite top class mean "
+                             f"{N_CLASSES - 1} * separation, got {self.separation}")
         if not 1 <= self.n_attributes <= len(ATTRIBUTE_NAMES):
             raise ValueError(f"n_attributes must be in [1, 11], got {self.n_attributes}")
 

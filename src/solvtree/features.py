@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -36,8 +36,10 @@ class FeatureSubset:
 def discretize(ds: Dataset, n_bins: int = 10) -> DiscretizedView:
     """Equal-frequency bins by rank, with equal values always sharing a bin.
 
-    For all-distinct values the bin sizes differ by at most one. Tied values
-    collapse into the bin of their lowest rank, otherwise row order would
+    A value's rank is the count of smaller values in its column, read from
+    one ``np.unique``, and its bin is ``rank * min(n_bins, n) // n``, so
+    all-distinct values fill bins whose sizes differ by at most one. Equal
+    values (-0.0 and 0.0 included) share a rank, otherwise row order would
     leak into the correlation estimates. Learners never see these bins;
     they exist only to estimate correlations. Any ``n_bins`` from the row
     count up gives each rank a bin of its own, so it is capped there.
@@ -47,15 +49,11 @@ def discretize(ds: Dataset, n_bins: int = 10) -> DiscretizedView:
     n = len(ds)
     if n == 0:
         raise ValueError("cannot discretize an empty dataset")
-    X = ds.matrix()
-    order = np.argsort(X, axis=0, kind="stable")
-    vs = np.take_along_axis(X, order, axis=0)
-    run_start = np.ones(X.shape, dtype=bool)
-    run_start[1:] = vs[1:] != vs[:-1]
-    # each value takes the rank of the first member of its run of equal values
-    rank = np.maximum.accumulate(np.where(run_start, np.arange(n)[:, None], 0), axis=0)
-    bins = np.empty(X.shape, dtype=np.int64)
-    np.put_along_axis(bins, order, rank * min(n_bins, n) // n, axis=0)  # int64-safe
+    ranks = []
+    for column in ds.matrix().T:
+        _, inverse, counts = np.unique(column, return_inverse=True, return_counts=True)
+        ranks.append((np.cumsum(counts) - counts)[inverse])
+    bins = np.column_stack(ranks) * min(n_bins, n) // n  # int64-safe
     return DiscretizedView(bins, n_bins, ds.schema)
 
 
@@ -96,14 +94,21 @@ def merit_from_correlations(k: int, r_cf: float, r_ff: float) -> float:
     return k * r_cf / math.sqrt(k + k * (k - 1) * r_ff)
 
 
-def _su_table(view: DiscretizedView, labels: np.ndarray, pairs) -> dict[tuple[int, int], float]:
-    """Symmetric uncertainty of each ordered pair of view columns; the class is one past the last.
+class _SuTable(dict):
+    """Symmetric uncertainty of ordered pairs of view columns, each computed when first read.
 
-    Pairs stay ordered because SU(a, b) and SU(b, a) can differ in the last
-    bit, and a merit must add the same values a direct computation would.
+    The class is the column one past the last attribute. Pairs stay ordered
+    because SU(a, b) and SU(b, a) can differ in the last bit, and a merit
+    must add the same values a direct computation would.
     """
-    columns = [*view.bins.T, labels]
-    return {(a, b): symmetric_uncertainty(columns[a], columns[b]) for a, b in pairs}
+
+    def __init__(self, view: DiscretizedView, labels: np.ndarray):
+        super().__init__()
+        self.columns = [*view.bins.T, labels]
+
+    def __missing__(self, pair: tuple[int, int]) -> float:
+        su = self[pair] = symmetric_uncertainty(self.columns[pair[0]], self.columns[pair[1]])
+        return su
 
 
 def _merit(cols: Sequence[int], su: dict[tuple[int, int], float], cls: int) -> float:
@@ -132,9 +137,7 @@ def cfs_merit(subset: Sequence[str], ds: Dataset, view: DiscretizedView) -> floa
         if name not in view.attributes:
             raise ValueError(f"attribute {name!r} not in the discretized view")
         cols.append(view.attributes.index(name))
-    cls = len(view.attributes)
-    pairs = [(c, cls) for c in cols] + list(combinations(cols, 2))
-    return _merit(cols, _su_table(view, ds.label_indices(), pairs), cls)
+    return _merit(cols, _SuTable(view, ds.label_indices()), len(view.attributes))
 
 
 def greedy_stepwise(ds: Dataset, n_bins: int = 10) -> FeatureSubset:
@@ -146,25 +149,14 @@ def greedy_stepwise(ds: Dataset, n_bins: int = 10) -> FeatureSubset:
     """
     view = discretize(ds, n_bins)
     cls = len(view.attributes)
-    # both orders of every attribute pair: a candidate subset may list either first
-    pairs = [*permutations(range(cls), 2), *((c, cls) for c in range(cls))]
-    su = _su_table(view, ds.label_indices(), pairs)
+    su = _SuTable(view, ds.label_indices())  # reads only (earlier pick, candidate) pairs
     selected: list[int] = []
     current = -math.inf
-    while True:
-        best_col = None
-        best_merit = -math.inf
-        for col in range(cls):
-            if col in selected:
-                continue
-            m = _merit([*selected, col], su, cls)
-            if m > best_merit:
-                best_merit = m
-                best_col = col
-        if best_col is None:
+    while len(selected) < cls:
+        merits = {c: _merit([*selected, c], su, cls) for c in range(cls) if c not in selected}
+        best = max(merits, key=merits.get)  # the first of equal merits, in schema order
+        if selected and merits[best] <= current:
             break
-        if selected and best_merit <= current:
-            break
-        selected.append(best_col)
-        current = best_merit
+        selected.append(best)
+        current = merits[best]
     return FeatureSubset(tuple(view.attributes[c] for c in selected), current)

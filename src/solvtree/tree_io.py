@@ -5,6 +5,7 @@ Both walk a model's pre-order nodes in order; ``parse`` links node lines in one 
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Iterator
 
@@ -87,9 +88,12 @@ def _read_node_line(reader: _LineReader, schema: tuple[str, ...]) -> tuple[str, 
         if parts[1] not in schema:
             raise ModelFormatError(f"split attribute {parts[1]!r} not in schema", at)
         try:
-            return parts[1], float(parts[2]), ()
+            threshold = float(parts[2])
         except ValueError:
             raise ModelFormatError(f"non-numeric threshold {parts[2]!r}", at) from None
+        if not math.isfinite(threshold):  # grown trees split between finite values only
+            raise ModelFormatError(f"non-finite threshold {parts[2]!r}", at)
+        return parts[1], threshold, ()
     raise ModelFormatError(f"expected a 'split' or 'leaf' line, found {line!r}", at)
 
 

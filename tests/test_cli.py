@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import solvtree
 from solvtree import (
+    ATTRIBUTE_NAMES,
     BalanceTargets,
     CompanyRecord,
     Leaf,
@@ -685,6 +686,14 @@ _BALANCE_FLAGS = st.fixed_dictionaries({}, optional={
 })
 
 
+def _assert_exits_cleanly(argv) -> None:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
 class TestBalanceFlagFuzz:
     @settings(deadline=None)
     @given(st.sampled_from(["balance", "cross-validate"]),
@@ -696,11 +705,47 @@ class TestBalanceFlagFuzz:
         if mode is not None:
             argv += ["--mode" if command == "balance" else "--balance-mode", mode]
         argv += ["-o", str(out)] if command == "balance" else ["--folds", "2", "--report", str(out)]
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(argv)
-        assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
+        _assert_exits_cleanly(argv)
+
+
+# sizes of at least 10**18 elements (6.9 EiB of int64): no allocator grants them, so the
+# commands fail before any large allocation is made
+_HUGE = str(10**18)
+_LEARNER_FLAGS = {
+    "--cf": _mostly(st.floats(0, 0.5).map(repr)),
+    "--min-leaf": _mostly(st.integers(1, 10).map(str)) | st.just(_HUGE),
+    "--max-depth": _mostly(st.integers(0, 8).map(str)) | st.just(_HUGE),
+    "--attributes": _mostly(st.lists(st.sampled_from(ATTRIBUTE_NAMES), min_size=1, max_size=4).map(",".join)),
+}
+# generated sets hold at most 200 rows, apart from the one absurd count
+_COMMAND_FLAGS = {
+    "generate": st.fixed_dictionaries(
+        {"--counts": _mostly(st.lists(st.integers(0, 50), min_size=4, max_size=4).map(
+            lambda c: ",".join(map(str, c)))) | st.just(f"{_HUGE},0,0,0")},
+        optional={"--separation": _mostly(st.floats(0, 10).map(repr)) | st.just("1e308"),
+                  "--n-attributes": _mostly(st.integers(1, 11).map(str))},
+    ),
+    "train": st.fixed_dictionaries({}, optional=_LEARNER_FLAGS),
+    "cross-validate": st.fixed_dictionaries({}, optional={
+        **_LEARNER_FLAGS, "--folds": _mostly(st.integers(2, 5).map(str)) | st.just(_HUGE)}),
+    "select-features": st.fixed_dictionaries({}, optional={
+        "--bins": _mostly(st.integers(2, 100).map(str)) | st.sampled_from([str(2**62), str(2**64), _HUGE])}),
+}
+
+
+class TestCommandFlagFuzz:
+    @settings(deadline=None)
+    @given(st.sampled_from(sorted(_COMMAND_FLAGS)).flatmap(lambda c: st.tuples(st.just(c), _COMMAND_FLAGS[c])))
+    def test_flags_exit_cleanly(self, cli_files, command_flags):
+        command, flags = command_flags
+        data, _ = cli_files
+        out = data.parent / "fuzz-command.out"
+        argv = [command, *(f"{flag}={value}" for flag, value in flags.items())]
+        if command != "generate":
+            argv += ["--input", str(data)]
+        if command != "select-features":
+            argv += ["--report" if command == "cross-validate" else "-o", str(out)]
+        _assert_exits_cleanly(argv)
 
 
 class TestSelectFeatures:
@@ -834,6 +879,35 @@ class TestExitCodes:
         code, _, err = _run(capsys, "label", "--input", str(src))
         assert code == 1
         assert f"(row 2, column {'year' if year != '2001' else 'car'})" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--counts", "1000000000000000000,0,0,0"],
+        ["balance", "--mode", "smote", "--targets", "1000000000000000000,8,8,44"],
+        ["cross-validate", "--balance-mode", "smote", "--targets", "1000000000000000000,8,8,44"],
+        ["balance", "--mode", "resample", "--percent", "1e20"],
+        ["cross-validate", "--balance-mode", "resample", "--percent", "1e300"],
+    ])
+    def test_sizes_no_array_can_hold_are_data_errors(self, argv, cli_files, tmp_path, capsys):
+        # 10**18 elements (6.9 EiB) is more than any allocator grants, so nothing large is allocated
+        out = tmp_path / "out"
+        if argv[0] != "generate":
+            argv += ["--input", str(cli_files[0])]
+        argv += ["--report" if argv[0] == "cross-validate" else "-o", str(out)]
+        code, _, err = _run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_separation_with_an_overflowing_class_mean_is_a_data_error(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code, _, err = _run(capsys, "generate", "--counts", "1,1,1,1", "--separation", "1e308", "-o", str(out))
+        assert code == 1
+        assert err.startswith("error:") and "separation" in err
+        assert not out.exists()
+        # the largest class mean still finite: the file loads back
+        code, _, err = _run(capsys, "generate", "--counts", "1,1,1,1", "--separation", "5e307", "-o", str(out))
+        assert (code, err) == (0, "")
+        assert load_csv(out).values.max() > 1.4e308
 
     def test_malformed_csv_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

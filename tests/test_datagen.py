@@ -97,6 +97,10 @@ def test_spec_validation():
         GeneratorSpec((1, -2, 3, 4), seed=0)
     with pytest.raises(ValueError):
         GeneratorSpec((1, 2, 3, 4), separation=-1.0)
+    for separation in (float("nan"), float("inf"), 1e308):  # 1e308: the top class mean 3e308 overflows
+        with pytest.raises(ValueError, match="separation"):
+            GeneratorSpec((1, 2, 3, 4), separation=separation)
+    assert GeneratorSpec((1, 2, 3, 4), separation=5e307).separation == 5e307
     with pytest.raises(ValueError):
         GeneratorSpec((1, 2, 3, 4), n_attributes=0)
     with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from solvtree import (
     merit_from_correlations,
     symmetric_uncertainty,
 )
+from solvtree import features
 from solvtree.features import _merit
 
 from oracles import brute_force_best_subset, make_dataset
@@ -84,6 +85,24 @@ class TestDiscretize:
         ds = make_dataset([(1.0,)] * 9, [0] * 9)
         view = discretize(ds, n_bins=5)
         assert set(view.bins[:, 0]) == {0}
+
+    @pytest.mark.parametrize("n_bins", [2, 3, 10, 1000, 2**62])
+    def test_bins_match_the_count_of_smaller_values(self, n_bins):
+        # tie-heavy columns mixing -0.0 and 0.0, which Python compares as equal
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            n, k = int(rng.integers(1, 60)), int(rng.integers(1, 12))
+            values = rng.integers(-2, 3, size=(n, k)) * 0.5
+            values[rng.random((n, k)) < 0.3] = -0.0
+            rows = values.tolist()
+            ds = make_dataset(rows, [0] * n)
+            expected = [
+                [sum(v[j] < x for v in rows) * min(n_bins, n) // n for j, x in enumerate(row)]
+                for row in rows
+            ]
+            view = discretize(ds, n_bins)
+            assert view.bins.dtype == np.int64
+            assert view.bins.tolist() == expected
 
     def test_needs_records_and_bins(self):
         ds = make_dataset([(0.0,)], [0])
@@ -265,6 +284,26 @@ class TestGreedyStepwise:
             for i in range(len(result.selected))
         ]
         assert all(b >= a - 1e-12 for a, b in zip(merits, merits[1:]))
+
+    def test_computes_each_pair_once_in_one_order(self, monkeypatch):
+        # seven distinct attribute columns, five of them picked, out of schema order
+        rng = np.random.default_rng(1)
+        labels = rng.integers(0, 4, size=120)
+        cols = [int(rng.integers(0, 3)) * labels + rng.integers(0, int(rng.integers(2, 6)), size=120)
+                for _ in range(7)]
+        ds = make_dataset([tuple(map(float, row)) for row in np.column_stack(cols)], labels)
+        view = discretize(ds, n_bins=4)
+        assert len({c.tobytes() for c in [*view.bins.T, ds.label_indices()]}) == 8
+        calls = []
+
+        def counted(x, y):
+            calls.append((np.asarray(x).tobytes(), np.asarray(y).tobytes()))
+            return symmetric_uncertainty(x, y)
+
+        monkeypatch.setattr(features, "symmetric_uncertainty", counted)
+        assert greedy_stepwise(ds, n_bins=4).selected == ("V3", "V4", "V5", "V1", "V7")
+        assert len(calls) == len(set(calls))
+        assert not {(y, x) for x, y in calls} & set(calls)
 
     def test_matches_forward_search_over_reference_merits(self):
         # tie-heavy columns (few distinct values, many rows) over shuffled

@@ -107,6 +107,15 @@ class TestParseErrors:
             parse("\n".join(lines))
         assert exc_info.value.line == 7
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_threshold_names_its_line(self, threshold):
+        # grown trees split between finite values; nan would route every row right
+        lines = self._text().splitlines()
+        lines[8] = f"split V1 {threshold}"
+        with pytest.raises(ModelFormatError, match="non-finite threshold") as exc_info:
+            parse("\n".join(lines))
+        assert exc_info.value.line == 9
+
     def test_unknown_schema_attribute(self):
         text = self._text().replace("schema V1,V2", "schema V1,V99")
         with pytest.raises(ModelFormatError, match="V99"):
