@@ -14,6 +14,7 @@ from .dataset import (
     N_CLASSES,
     CompanyRecord,
     Dataset,
+    SolvencyClass,
     _round_half_up,
 )
 
@@ -47,6 +48,26 @@ class BalanceTargets:
                 raise ValueError("target_counts must have one entry per class")
 
 
+def _short_classes(counts: Sequence[int], request: BalanceTargets) -> list[SolvencyClass]:
+    """The classes that ``request`` cannot serve on data with these per-class counts.
+
+    Resampling cannot draw from an absent class that keeps a positive draw
+    probability, bias / 4; SMOTE cannot synthesize for a class below its
+    target with fewer than 2 members.
+    """
+    if request.mode == "resample":
+        drawn = request.bias_to_uniform / N_CLASSES > 0
+        return [cls for cls, c in zip(CLASS_ALPHABET, counts) if c == 0 and drawn]
+    return [cls for cls, c, t in zip(CLASS_ALPHABET, counts, request.target_counts) if t > c and c < 2]
+
+
+def _apply(ds: Dataset, request: BalanceTargets, seed: int) -> Dataset:
+    """``ds`` balanced as ``request`` asks."""
+    if request.mode == "resample":
+        return resample(ds, request.bias_to_uniform, request.sample_size_percent, seed)
+    return smote(ds, request.target_counts, request.k_neighbors, seed)
+
+
 def resample(
     ds: Dataset,
     bias_to_uniform: float = 1.0,
@@ -62,28 +83,19 @@ def resample(
     is an error. Deterministic for a given seed; output rows are the input
     rows themselves, repeated as drawn.
     """
-    if not 0.0 <= bias_to_uniform <= 1.0:
-        raise ValueError(f"bias_to_uniform must be in [0, 1], got {bias_to_uniform}")
-    if not 0 < sample_size_percent < math.inf:
-        raise ValueError(f"sample_size_percent must be finite and > 0, got {sample_size_percent}")
+    request = BalanceTargets("resample", bias_to_uniform, sample_size_percent)
     n = len(ds)
     if n == 0:
         raise ValueError("cannot resample an empty dataset")
     y = ds.label_indices()
-    counts = np.bincount(y, minlength=N_CLASSES).tolist()
-    probs = np.array(
-        [
-            (1.0 - bias_to_uniform) * c / n + bias_to_uniform / N_CLASSES
-            for c in counts
-        ]
-    )
-    for cls, c, p in zip(CLASS_ALPHABET, counts, probs):
-        if p > 0 and c == 0:
-            raise ValueError(
-                f"class {cls.csv_name} has no members but draw probability {p:.6g}"
-            )
+    sizes = np.bincount(y, minlength=N_CLASSES)
+    short = _short_classes(sizes, request)
+    if short:
+        raise ValueError(
+            f"class {short[0].csv_name} has no members but draw probability {bias_to_uniform / N_CLASSES:.6g}"
+        )
+    probs = (1.0 - bias_to_uniform) * sizes / n + bias_to_uniform / N_CLASSES
     members = np.argsort(y, kind="stable")  # row indices class after class, in row order within one
-    sizes = np.array(counts)
     first = np.cumsum(sizes) - sizes  # where each class starts in members
     size = _round_half_up(sample_size_percent / 100.0 * n)
     rng = np.random.default_rng(seed)
@@ -174,26 +186,23 @@ def smote(
     numpy's scalar calls read them (``_draws``; a test pins these numpy
     internals, and a class with a rejected draw makes the scalar calls).
     """
-    targets = tuple(int(c) for c in target_counts)
-    if len(targets) != N_CLASSES:
-        raise ValueError("target_counts must have one entry per class")
-    if k_neighbors < 1:
-        raise ValueError(f"k_neighbors must be >= 1, got {k_neighbors}")
+    request = BalanceTargets("smote", target_counts=target_counts, k_neighbors=k_neighbors)
     y = ds.label_indices()
     counts = np.bincount(y, minlength=N_CLASSES).tolist()
-    for cls, have, want in zip(CLASS_ALPHABET, counts, targets):
+    short = _short_classes(counts, request)
+    for cls, have, want in zip(CLASS_ALPHABET, counts, request.target_counts):
         if want < have:
             raise ValueError(
                 f"target {want} below current count {have} for class {cls.csv_name}"
             )
-        if want > have and have < 2:
+        if cls in short:
             raise ValueError(
                 f"class {cls.csv_name} needs at least 2 members to synthesize, has {have}"
             )
     parts = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)]  # base, neighbor and fraction rows
     columns = [ATTRIBUTE_NAMES.index(a) for a in ds.schema]
     for cls in CLASS_ALPHABET:
-        deficit = targets[cls.value] - counts[cls.value]
+        deficit = request.target_counts[cls.value] - counts[cls.value]
         if deficit == 0:
             continue
         members = np.flatnonzero(y == cls.value)

@@ -10,12 +10,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable
 
-from .balance import BalanceTargets, resample, smote
-from .dataset import ATTRIBUTE_NAMES, CLASS_ALPHABET, Dataset, _car_bands, _csv_text, load_csv, write_csv
+from .balance import BalanceTargets, _apply
+from .dataset import CLASS_ALPHABET, Dataset, _car_bands, _check_schema, _csv_text, load_csv, write_csv
 from .datagen import GeneratorSpec, generate
 from .evaluate import cross_validate, evaluate_on, render_report, summary_lines
 from .features import greedy_stepwise
@@ -49,7 +49,11 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "PipelineConfig":
-        return cls.from_dict(json.loads(text))
+        try:
+            raw = json.loads(text)
+        except RecursionError:
+            raise ValueError("the config nests too deeply") from None
+        return cls.from_dict(raw)
 
     @classmethod
     def from_file(cls, path) -> "PipelineConfig":
@@ -120,11 +124,10 @@ def _counts(text: str) -> tuple[int, int, int, int]:
 
 def _attr_list(text: str) -> tuple[str, ...]:
     names = tuple(s.strip() for s in text.split(",") if s.strip())
-    for name in names:
-        if name not in ATTRIBUTE_NAMES:
-            raise argparse.ArgumentTypeError(f"unknown attribute {name!r}")
-    if not names:
-        raise argparse.ArgumentTypeError("attribute list is empty")
+    try:
+        _check_schema(names)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return names
 
 
@@ -188,12 +191,13 @@ def _flag_or(flag, fallback):
     return fallback if flag is None else flag
 
 
+def _overlay(base, **flags):
+    """``base`` with each field whose flag was given (not None) replaced by the flag's value."""
+    return replace(base, **{name: value for name, value in flags.items() if value is not None})
+
+
 def _learner(args, cfg: PipelineConfig) -> LearnerParams:
-    return LearnerParams(
-        confidence_factor=_flag_or(args.cf, cfg.learner.confidence_factor),
-        min_leaf=_flag_or(args.min_leaf, cfg.learner.min_leaf),
-        max_depth=_flag_or(args.max_depth, cfg.learner.max_depth),
-    )
+    return _overlay(cfg.learner, confidence_factor=args.cf, min_leaf=args.min_leaf, max_depth=args.max_depth)
 
 
 def _balance_targets(args, cfg: PipelineConfig, mode: str | None) -> BalanceTargets | None:
@@ -204,17 +208,10 @@ def _balance_targets(args, cfg: PipelineConfig, mode: str | None) -> BalanceTarg
     if mode is None and cfg.balance is None:
         return None
     base = cfg.balance or BalanceTargets(mode="resample")
-    mode = mode or base.mode
-    targets = _flag_or(args.targets, base.target_counts)
-    if mode == "smote" and targets is None:
+    if (mode or base.mode) == "smote" and _flag_or(args.targets, base.target_counts) is None:
         raise CliUsageError("smote balancing needs --targets a,b,c,d")
-    return BalanceTargets(
-        mode=mode,
-        bias_to_uniform=_flag_or(args.bias, base.bias_to_uniform),
-        sample_size_percent=_flag_or(args.percent, base.sample_size_percent),
-        target_counts=targets,
-        k_neighbors=_flag_or(args.k_neighbors, base.k_neighbors),
-    )
+    return _overlay(base, mode=mode, bias_to_uniform=args.bias, sample_size_percent=args.percent,
+                    target_counts=args.targets, k_neighbors=args.k_neighbors)
 
 
 def _cmd_generate(args, cfg: PipelineConfig) -> None:
@@ -245,12 +242,7 @@ def _cmd_balance(args, cfg: PipelineConfig) -> None:
     if balance is None:
         raise CliUsageError("no --mode given and the config provides no balance mode")
     ds = load_csv(_resolve_input(args, cfg), expect_labels=True)
-    seed = _resolve_seed(args, cfg)
-    if balance.mode == "resample":
-        out = resample(ds, balance.bias_to_uniform, balance.sample_size_percent, seed)
-    else:
-        out = smote(ds, balance.target_counts, balance.k_neighbors, seed)
-    _write_dataset(out, args.output or cfg.paths.get("output"))
+    _write_dataset(_apply(ds, balance, _resolve_seed(args, cfg)), args.output or cfg.paths.get("output"))
 
 
 def _cmd_train(args, cfg: PipelineConfig) -> None:

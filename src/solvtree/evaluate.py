@@ -8,12 +8,12 @@ instance contributes one residual per class against its one-hot label.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .balance import BalanceTargets, resample, smote
+from .balance import BalanceTargets, _apply, _short_classes
 from .dataset import CLASS_ALPHABET, N_CLASSES, Dataset, SolvencyClass, class_distribution
 from .tree import LearnerParams, TreeModel, _route, grow
 
@@ -136,33 +136,21 @@ def _fold_seed(seed: int, fold: int) -> int:
     return int(np.random.SeedSequence(entropy=[seed, fold]).generate_state(1)[0])
 
 
-def _balanced_training(
-    train: Dataset, balance: BalanceTargets, seed: int, fold: int
-) -> tuple[Dataset, list[str]]:
+_SKIPPED = {
+    "resample": "absent from the training portion; resampling skipped",
+    "smote": "has fewer than 2 training members; oversampling skipped",
+}
+
+
+def _balanced_training(train: Dataset, balance: BalanceTargets, seed: int, fold: int) -> tuple[Dataset, list[str]]:
     counts = class_distribution(train)
-    if balance.mode == "resample":
-        if balance.bias_to_uniform > 0 and any(c == 0 for c in counts):
-            missing = [
-                cls.csv_name for cls, c in zip(CLASS_ALPHABET, counts) if c == 0
-            ]
-            return train, [
-                f"fold {fold}: class {', '.join(missing)} absent from the training "
-                f"portion; resampling skipped"
-            ]
-        return resample(train, balance.bias_to_uniform, balance.sample_size_percent, seed), []
-    # smote: clamp targets to the fold's counts so shrunk folds stay valid
-    targets = tuple(max(t, c) for t, c in zip(balance.target_counts, counts))
-    starving = [
-        cls.csv_name
-        for cls, t, c in zip(CLASS_ALPHABET, targets, counts)
-        if t > c and c < 2
-    ]
-    if starving:
-        return train, [
-            f"fold {fold}: class {', '.join(starving)} has fewer than 2 training "
-            f"members; oversampling skipped"
-        ]
-    return smote(train, targets, balance.k_neighbors, seed), []
+    if balance.mode == "smote":  # clamp targets to the fold's counts so shrunk folds stay valid
+        balance = replace(balance, target_counts=tuple(map(max, balance.target_counts, counts)))
+    short = _short_classes(counts, balance)
+    if short:
+        names = ", ".join(cls.csv_name for cls in short)
+        return train, [f"fold {fold}: class {names} {_SKIPPED[balance.mode]}"]
+    return _apply(train, balance, seed), []
 
 
 def cross_validate(
@@ -176,9 +164,9 @@ def cross_validate(
 
     When a balancing transform is given it is applied to each fold's
     training portion only; held-out records are never balanced. A fold
-    whose training portion cannot be balanced (a class missing entirely,
-    or too small for synthesis) is trained unbalanced and noted in the
-    report warnings. Per-fold balancing seeds derive from (seed, fold), so
+    whose training portion ``resample`` or ``smote`` would refuse (SMOTE
+    targets raised to the fold's counts first) is trained unbalanced and
+    noted in the report warnings. Per-fold balancing seeds derive from (seed, fold), so
     the whole run is deterministic given its seed.
     """
     folds = stratified_folds(ds, k, seed)

@@ -301,3 +301,40 @@ class TestBalanceTargets:
             BalanceTargets(mode="resample", sample_size_percent=-10.0)
         with pytest.raises(ValueError):
             BalanceTargets(mode="smote", target_counts=(1, 2, 3, 4), k_neighbors=0)
+
+
+_KNOB_DATA = generate(GeneratorSpec((3, 3, 3, 3), seed=1))
+# (knobs, message): each knob alone out of range, with the message resample/smote and
+# BalanceTargets all give for it
+_BAD_KNOBS = [
+    ({"bias_to_uniform": -0.1}, "bias_to_uniform must be in [0, 1], got -0.1"),
+    ({"bias_to_uniform": float("nan")}, "bias_to_uniform must be in [0, 1], got nan"),
+    ({"sample_size_percent": 0.0}, "sample_size_percent must be finite and > 0, got 0.0"),
+    ({"sample_size_percent": float("inf")}, "sample_size_percent must be finite and > 0, got inf"),
+    ({"k_neighbors": 0}, "k_neighbors must be >= 1, got 0"),
+    ({"target_counts": (3, 3, 3)}, "target_counts must have one entry per class"),
+]
+
+
+class TestKnobMessages:
+    @pytest.mark.parametrize("knobs, message", _BAD_KNOBS, ids=[m for _, m in _BAD_KNOBS])
+    def test_functions_and_request_give_one_message(self, knobs, message):
+        resampling = "bias_to_uniform" in knobs or "sample_size_percent" in knobs
+        run = resample if resampling else smote
+        kwargs = knobs if resampling else {"target_counts": (3, 3, 3, 3), **knobs}
+        with pytest.raises(ValueError) as exc_info:
+            run(_KNOB_DATA, **kwargs, seed=0)
+        assert str(exc_info.value) == message
+        # a resampling request carries no targets to check
+        for mode in ("smote",) if "target_counts" in knobs else ("resample", "smote"):
+            with pytest.raises(ValueError) as exc_info:
+                BalanceTargets(mode, **{"target_counts": (3, 3, 3, 3), **knobs})
+            assert str(exc_info.value) == message, mode
+
+    def test_two_bad_knobs_report_k_first(self):
+        # one check order for smote and BalanceTargets: k_neighbors before target_counts
+        message = "k_neighbors must be >= 1, got 0"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            smote(_KNOB_DATA, (3, 3, 3), k_neighbors=0, seed=0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            BalanceTargets("smote", target_counts=(3, 3, 3), k_neighbors=0)

@@ -353,6 +353,19 @@ class TestTrainPredictEvaluate:
         assert code == 0
         assert "schema V1,V2\n" in model.read_text()
 
+    @pytest.mark.parametrize("attributes, message", [
+        ("V1,V1", "duplicate attribute 'V1' in schema"),
+        ("V99", "unknown attribute 'V99' in schema"),
+        (" , ", "schema must name at least one attribute"),
+    ])
+    def test_bad_attribute_list_is_a_usage_error(self, data_csv, tmp_path, capsys, attributes, message):
+        # argparse checks the list by the schema rule, so nothing is read or written
+        model = tmp_path / "m.tree"
+        code, _, err = _run(capsys, "train", "--input", str(data_csv), f"--attributes={attributes}", "-o", str(model))
+        assert code == 2
+        assert message in err
+        assert not model.exists()
+
 
     def test_deep_alternating_set_trains_and_predicts(self, tmp_path, capsys):
         # labels alternating in pairs along V1 grow a chain about 1100 splits deep
@@ -453,6 +466,19 @@ class TestConfigAndSeeds:
         assert err.startswith("error:")
         assert key in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        "[" * 1000 + "]" * 1000,
+        '{"a":' * 200_000 + "0" + "}" * 200_000,
+    ], ids=["1000-lists", "200000-objects"])
+    def test_config_nesting_too_deeply_is_a_data_error(self, text, tmp_path, capsys):
+        with pytest.raises(ValueError, match="^the config nests too deeply$"):
+            PipelineConfig.from_json(text)
+        cfg, out = tmp_path / "deep.json", tmp_path / "out.csv"
+        cfg.write_text(text, encoding="utf-8")
+        code, _, err = _run(capsys, "generate", "--counts", "4,4,4,4", "--config", str(cfg), "-o", str(out))
+        assert (code, err) == (1, "error: the config nests too deeply\n")
+        assert not out.exists()
 
     def test_defaults_match_reference_settings(self):
         cfg = PipelineConfig()

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,9 @@ from solvtree import (
     mae,
     render_report,
     report_from_predictions,
+    resample,
     rmse,
+    smote,
     stratified_folds,
     summary_lines,
 )
@@ -177,6 +180,36 @@ class TestCrossValidate:
         # each fold sees one of the two insolvency records in training
         assert any("fewer than 2" in w for w in report.warnings)
         assert report.n == len(ds)
+
+    def test_fold_skipped_exactly_when_balancing_refuses(self):
+        # every per-class count 0-3, bias 0 and subnormal to 1, and SMOTE targets that
+        # leave classes short, too small to synthesize from, or at their counts
+        requests = [BalanceTargets("resample", bias_to_uniform=b) for b in (0.0, 5e-324, 0.5, 1.0)]
+        requests += [BalanceTargets("smote", target_counts=t, k_neighbors=2)
+                     for t in ((2, 2, 2, 2), (3, 0, 3, 0), (4, 4, 4, 4))]
+        outcomes = set()
+        for counts in itertools.product(range(4), repeat=4):
+            if sum(counts) < 2:
+                continue
+            ds = generate(GeneratorSpec(counts, seed=sum(counts)))
+            folds = stratified_folds(ds, 2, seed=0)
+            for balance in requests:
+                warned = {int(w.split(":")[0].removeprefix("fold "))
+                          for w in cross_validate(ds, 2, LearnerParams(min_leaf=1), balance, seed=0).warnings}
+                refused = set()
+                for i, fold in enumerate(folds):
+                    train = ds.take(np.delete(np.arange(len(ds)), fold))
+                    try:
+                        if balance.mode == "resample":
+                            resample(train, balance.bias_to_uniform, seed=0)
+                        else:
+                            clamped = tuple(map(max, balance.target_counts, class_distribution(train)))
+                            smote(train, clamped, balance.k_neighbors, seed=0)
+                    except ValueError:
+                        refused.add(i)
+                assert warned == refused, (counts, balance)
+                outcomes.add(bool(refused))
+        assert outcomes == {True, False}
 
 
 class TestEvaluateOn:
