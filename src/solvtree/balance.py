@@ -15,6 +15,8 @@ from .dataset import (
     CompanyRecord,
     Dataset,
     SolvencyClass,
+    _check_int,
+    _class_counts,
     _round_half_up,
 )
 
@@ -36,16 +38,11 @@ class BalanceTargets:
             raise ValueError(f"bias_to_uniform must be in [0, 1], got {self.bias_to_uniform}")
         if not 0 < self.sample_size_percent < math.inf:
             raise ValueError(f"sample_size_percent must be finite and > 0, got {self.sample_size_percent}")
-        if self.k_neighbors < 1:
-            raise ValueError(f"k_neighbors must be >= 1, got {self.k_neighbors}")
+        _check_int("k_neighbors", self.k_neighbors, 1)
         if self.mode == "smote":
             if self.target_counts is None:
                 raise ValueError("smote mode needs target_counts")
-            object.__setattr__(
-                self, "target_counts", tuple(int(c) for c in self.target_counts)
-            )
-            if len(self.target_counts) != N_CLASSES:
-                raise ValueError("target_counts must have one entry per class")
+            object.__setattr__(self, "target_counts", _class_counts("target_counts", self.target_counts))
 
 
 def _short_classes(counts: Sequence[int], request: BalanceTargets) -> list[SolvencyClass]:
@@ -119,9 +116,8 @@ def nearest_neighbors(
     """
     if not pool:
         raise ValueError("pool must not be empty")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    X = np.array([[r.value(a) for a in schema] for r in (query, *pool)])
+    _check_int("k", k, 1)
+    X = Dataset((query, *pool), schema).matrix()
     return [pool[i] for i in _nearest_block(X[1:], X[:1], k)[0].tolist()]
 
 

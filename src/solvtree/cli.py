@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .balance import BalanceTargets, _apply
-from .dataset import CLASS_ALPHABET, Dataset, _car_bands, _check_schema, _csv_text, load_csv, write_csv
+from .dataset import CLASS_ALPHABET, Dataset, _car_bands, _check_schema, _class_counts, _csv_text, load_csv, write_csv
 from .datagen import GeneratorSpec, generate
 from .evaluate import cross_validate, evaluate_on, render_report, summary_lines
 from .features import greedy_stepwise
@@ -113,13 +113,10 @@ class CliUsageError(Exception):
 
 
 def _counts(text: str) -> tuple[int, int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("expected four comma-separated integers")
     try:
-        return tuple(int(p) for p in parts)
+        return _class_counts("counts", [int(p) for p in text.split(",")])
     except ValueError:
-        raise argparse.ArgumentTypeError(f"non-integer count in {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected four comma-separated non-negative integers, got {text!r}") from None
 
 
 def _attr_list(text: str) -> tuple[str, ...]:
@@ -180,10 +177,10 @@ def _resolve_input(args, cfg: PipelineConfig, key: str = "input") -> str:
     return path
 
 
-def _training_set(args, cfg: PipelineConfig) -> Dataset:
-    """The labeled input CSV, narrowed to ``--attributes`` when given."""
-    ds = load_csv(_resolve_input(args, cfg), expect_labels=True, allow_duplicates=True)
-    return ds.with_schema(args.attributes) if args.attributes else ds
+def _dataset(args, cfg: PipelineConfig, key: str = "input") -> Dataset:
+    """The CSV at ``key``, repeats allowed, labeled by CAR band if classless, narrowed to ``--attributes``."""
+    ds = load_csv(_resolve_input(args, cfg, key), expect_labels=True, allow_duplicates=True)
+    return ds.with_schema(args.attributes) if getattr(args, "attributes", None) else ds
 
 
 def _flag_or(flag, fallback):
@@ -225,13 +222,13 @@ def _cmd_generate(args, cfg: PipelineConfig) -> None:
 
 
 def _cmd_label(args, cfg: PipelineConfig) -> None:
-    ds = load_csv(_resolve_input(args, cfg))
+    ds = _dataset(args, cfg)
     relabeled = Dataset._of(ds.schema, *ds._columns()[:-1], _car_bands(ds.car))  # a new y column
     _write_dataset(relabeled, args.output or cfg.paths.get("output"))
 
 
 def _cmd_select_features(args, cfg: PipelineConfig) -> None:
-    ds = load_csv(_resolve_input(args, cfg), expect_labels=True)
+    ds = _dataset(args, cfg)
     result = greedy_stepwise(ds, _flag_or(args.bins, cfg.feature_bins))
     print(",".join(result.selected))
     print(f"merit={result.merit!r}")
@@ -241,17 +238,17 @@ def _cmd_balance(args, cfg: PipelineConfig) -> None:
     balance = _balance_targets(args, cfg, args.mode)
     if balance is None:
         raise CliUsageError("no --mode given and the config provides no balance mode")
-    ds = load_csv(_resolve_input(args, cfg), expect_labels=True)
+    ds = _dataset(args, cfg)
     _write_dataset(_apply(ds, balance, _resolve_seed(args, cfg)), args.output or cfg.paths.get("output"))
 
 
 def _cmd_train(args, cfg: PipelineConfig) -> None:
-    model = grow(_training_set(args, cfg), _learner(args, cfg))
+    model = grow(_dataset(args, cfg), _learner(args, cfg))
     _write_lines(args.output or cfg.paths.get("model"), (serialize(model),))
 
 
 def _cmd_cross_validate(args, cfg: PipelineConfig) -> None:
-    ds = _training_set(args, cfg)
+    ds = _dataset(args, cfg)
     seed = _resolve_seed(args, cfg)
     balance = None if args.balance_mode == "none" else _balance_targets(args, cfg, args.balance_mode)
     report = cross_validate(ds, _flag_or(args.folds, cfg.folds), _learner(args, cfg), balance, seed)
@@ -260,13 +257,12 @@ def _cmd_cross_validate(args, cfg: PipelineConfig) -> None:
 
 def _cmd_evaluate(args, cfg: PipelineConfig) -> None:
     model = read_model(_resolve_input(args, cfg, "model"))
-    test = load_csv(_resolve_input(args, cfg, "test"), expect_labels=True, allow_duplicates=True)
-    _write_report(args, cfg, evaluate_on(model, test))
+    _write_report(args, cfg, evaluate_on(model, _dataset(args, cfg, "test")))
 
 
 def _cmd_predict(args, cfg: PipelineConfig) -> None:
     model = read_model(_resolve_input(args, cfg, "model"))
-    ds = load_csv(_resolve_input(args, cfg), allow_duplicates=True)
+    ds = _dataset(args, cfg)
     classes, freqs = _route(model, ds.values)
     lines = [
         f"{_csv_text(company_id)},{'' if year is None else year},{CLASS_ALPHABET[c].csv_name},"

@@ -7,16 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ATTRIBUTE_NAMES, CLASS_ALPHABET, N_CLASSES, Dataset, SolvencyClass
+from .dataset import ATTRIBUTE_NAMES, CLASS_ALPHABET, MODERATE_MIN_CAR, N_CLASSES, STRONG_MIN_CAR, WEAK_MIN_CAR
+from .dataset import Dataset, _check_int, _class_counts, _is_int
 
-# CAR draw ranges per band; the strong band is open-ended above, capped here
-# so draws stay bounded.
-_CAR_BANDS = {
-    SolvencyClass.INSOLVENCY: (40.0, 100.0),
-    SolvencyClass.WEAK: (100.0, 120.0),
-    SolvencyClass.MODERATE: (120.0, 150.0),
-    SolvencyClass.STRONG: (150.0, 300.0),
-}
+# CAR draw ranges per band, between the band edges; the insolvency band is
+# floored at 40 and the open-ended strong band capped at 300 so draws stay bounded.
+_CAR_EDGES = (40.0, WEAK_MIN_CAR, MODERATE_MIN_CAR, STRONG_MIN_CAR, 300.0)
+_CAR_BANDS = {cls: _CAR_EDGES[cls.value : cls.value + 2] for cls in CLASS_ALPHABET}
 
 
 @dataclass(frozen=True)
@@ -29,16 +26,13 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "class_counts", tuple(int(c) for c in self.class_counts))
-        if len(self.class_counts) != len(CLASS_ALPHABET):
-            raise ValueError("class_counts must have one entry per class")
-        if any(c < 0 for c in self.class_counts):
-            raise ValueError("class_counts must be non-negative")
+        object.__setattr__(self, "class_counts", _class_counts("class_counts", self.class_counts))
         if not (math.isfinite((N_CLASSES - 1) * self.separation) and self.separation >= 0):
             raise ValueError(f"separation must be >= 0 with a finite top class mean "
                              f"{N_CLASSES - 1} * separation, got {self.separation}")
-        if not 1 <= self.n_attributes <= len(ATTRIBUTE_NAMES):
-            raise ValueError(f"n_attributes must be in [1, 11], got {self.n_attributes}")
+        _check_int("seed", self.seed, 0)
+        if not (_is_int(self.n_attributes) and 1 <= self.n_attributes <= len(ATTRIBUTE_NAMES)):
+            raise ValueError(f"n_attributes must be an integer in [1, 11], got {self.n_attributes!r}")
 
 
 def generate(spec: GeneratorSpec) -> Dataset:

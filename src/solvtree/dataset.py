@@ -75,12 +75,7 @@ _ACTION_LEVELS = {
 }
 
 #: Fixed class order used by every count vector, fold, and report.
-CLASS_ALPHABET: tuple[SolvencyClass, ...] = (
-    SolvencyClass.INSOLVENCY,
-    SolvencyClass.WEAK,
-    SolvencyClass.MODERATE,
-    SolvencyClass.STRONG,
-)
+CLASS_ALPHABET: tuple[SolvencyClass, ...] = tuple(SolvencyClass)
 
 N_CLASSES = len(CLASS_ALPHABET)
 
@@ -96,6 +91,29 @@ def label_from_car(car: float) -> SolvencyClass:
     if not math.isfinite(car):
         raise ValueError(f"CAR must be finite, got {car!r}")
     return CLASS_ALPHABET[int(_car_bands(car))]
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer; a bool is neither here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_int(name: str, value, low: int) -> None:
+    """Raise ValueError naming the field ``name`` unless ``value`` is an integer of at least ``low``."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
+def _class_counts(name: str, counts) -> tuple[int, ...]:
+    """``counts`` as a tuple of non-negative ints, one per class; raises ValueError naming the field ``name``."""
+    counts = tuple(counts) if isinstance(counts, Iterable) else ()
+    if len(counts) != N_CLASSES:
+        raise ValueError(f"{name} must have one entry per class")
+    if not all(_is_int(c) and c >= 0 for c in counts):
+        raise ValueError(f"{name} must hold non-negative integers, got {counts!r}")
+    return tuple(map(int, counts))
 
 
 def _car_bands(car):
@@ -134,6 +152,12 @@ class CompanyRecord:
         if self.tca is not None and self.tcr is not None:
             object.__setattr__(self, "tca", float(self.tca))
             object.__setattr__(self, "tcr", float(self.tcr))
+        # the CSV reader reads back only a non-empty, stripped id and an int year
+        cid = self.company_id
+        if cid is not None and not (isinstance(cid, str) and cid and cid == cid.strip()):
+            raise ValueError(f"company_id must be non-empty text without surrounding whitespace, got {cid!r}")
+        if self.year is not None and not _is_int(self.year):
+            raise ValueError(f"year must be an integer, got {self.year!r}")
         _check_row(self.company_id, self.year, self.tca, self.tcr, self.car)
 
     @property
@@ -174,13 +198,11 @@ def _check_schema(names: Sequence[str]) -> None:
     """Raise ValueError unless ``names`` are one or more distinct attributes of V1..V11."""
     if not names:
         raise ValueError("schema must name at least one attribute")
-    seen: set[str] = set()
-    for name in names:
+    for i, name in enumerate(names):  # at most twelve rounds: the twelfth known name repeats one
         if name not in _ATTR_INDEX:
             raise ValueError(f"unknown attribute {name!r} in schema")
-        if name in seen:
+        if name in names[:i]:
             raise ValueError(f"duplicate attribute {name!r} in schema")
-        seen.add(name)
 
 
 #: Dataset columns and their dtypes; absent entries are None (objects) or NaN (floats).
@@ -280,6 +302,12 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
+def _shuffled_classes(y: np.ndarray, seed: int) -> list[np.ndarray]:
+    """Each class's row indices, in alphabet order, each shuffled by one permutation of one generator."""
+    rng = np.random.default_rng(seed)
+    return [idx[rng.permutation(len(idx))] for idx in (np.flatnonzero(y == c) for c in range(N_CLASSES))]
+
+
 def stratified_split(
     ds: Dataset, train_fraction: float, seed: int
 ) -> tuple[Dataset, Dataset]:
@@ -291,13 +319,9 @@ def stratified_split(
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
-    y = ds.label_indices()
-    rng = np.random.default_rng(seed)
-    in_train = np.zeros(len(y), dtype=bool)
-    for c in range(N_CLASSES):
-        idx = np.flatnonzero(y == c)
-        n_train = min(len(idx), max(0, _round_half_up(train_fraction * len(idx))))
-        in_train[idx[rng.permutation(len(idx))[:n_train]]] = True
+    in_train = np.zeros(len(ds), dtype=bool)
+    for idx in _shuffled_classes(ds.label_indices(), seed):
+        in_train[idx[: _round_half_up(train_fraction * len(idx))]] = True
     return ds.take(in_train), ds.take(~in_train)
 
 

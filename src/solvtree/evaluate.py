@@ -15,6 +15,7 @@ import numpy as np
 
 from .balance import BalanceTargets, _apply, _short_classes
 from .dataset import CLASS_ALPHABET, N_CLASSES, Dataset, SolvencyClass, class_distribution
+from .dataset import _check_int, _shuffled_classes
 from .tree import LearnerParams, TreeModel, _route, grow
 
 
@@ -120,15 +121,10 @@ def stratified_folds(ds: Dataset, k: int, seed: int) -> list[list[int]]:
     carried across classes, which also keeps fold sizes within one of each
     other. Deterministic for a given seed.
     """
-    n = len(ds)
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if k > n:
-        raise ValueError(f"k = {k} exceeds the {n} available records")
-    y = ds.label_indices()
-    rng = np.random.default_rng(seed)
-    members = (np.flatnonzero(y == c) for c in range(N_CLASSES))
-    dealt = np.concatenate([idx[rng.permutation(len(idx))] for idx in members])
+    _check_int("k", k, 2)
+    if k > len(ds):
+        raise ValueError(f"k = {k} exceeds the {len(ds)} available records")
+    dealt = np.concatenate(_shuffled_classes(ds.label_indices(), seed))
     return [sorted(dealt[j::k].tolist()) for j in range(k)]
 
 

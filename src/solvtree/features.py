@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset, _sum_in_order
+from .dataset import Dataset, _check_int, _check_schema, _sum_in_order
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,8 +44,7 @@ def discretize(ds: Dataset, n_bins: int = 10) -> DiscretizedView:
     they exist only to estimate correlations. Any ``n_bins`` from the row
     count up gives each rank a bin of its own, so it is capped there.
     """
-    if n_bins < 2:
-        raise ValueError(f"n_bins must be >= 2, got {n_bins}")
+    _check_int("n_bins", n_bins, 2)
     n = len(ds)
     if n == 0:
         raise ValueError("cannot discretize an empty dataset")
@@ -127,16 +126,11 @@ def cfs_merit(subset: Sequence[str], ds: Dataset, view: DiscretizedView) -> floa
     r_ff the mean pairwise symmetric uncertainty among members (0 for a
     singleton).
     """
-    names = tuple(subset)
-    if not names:
-        raise ValueError("subset must not be empty")
-    if len(set(names)) != len(names):
-        raise ValueError("subset contains repeated attributes")
-    cols = []
-    for name in names:
-        if name not in view.attributes:
-            raise ValueError(f"attribute {name!r} not in the discretized view")
-        cols.append(view.attributes.index(name))
+    _check_schema(subset)
+    missing = [name for name in subset if name not in view.attributes]
+    if missing:
+        raise ValueError(f"attribute {missing[0]!r} not in the discretized view")
+    cols = [view.attributes.index(name) for name in subset]
     return _merit(cols, _SuTable(view, ds.label_indices()), len(view.attributes))
 
 

@@ -18,7 +18,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .dataset import CLASS_ALPHABET, N_CLASSES, CompanyRecord, Dataset, SolvencyClass
-from .dataset import _sum_in_order, attribute_column
+from .dataset import _check_int, _sum_in_order, attribute_column
 
 # Score comparisons treat differences within this slack as ties so exact
 # mathematical ties are not broken by rounding noise.
@@ -38,10 +38,9 @@ class LearnerParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.confidence_factor <= 0.5:
             raise ValueError(f"confidence_factor must be in (0, 0.5], got {self.confidence_factor}")
-        if self.min_leaf < 1:
-            raise ValueError(f"min_leaf must be >= 1, got {self.min_leaf}")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise ValueError(f"max_depth must be >= 0, got {self.max_depth}")
+        _check_int("min_leaf", self.min_leaf, 1)
+        if self.max_depth is not None:
+            _check_int("max_depth", self.max_depth, 0)
 
 
 @dataclass(frozen=True)

@@ -163,6 +163,31 @@ def _leaf_from_counts(counts) -> Leaf:
     return Leaf(counts, predicted)
 
 
+def reference_grow(rows, labels, min_leaf: int = 2, max_depth: int | None = None) -> TreeNode:
+    """An unpruned tree grown by recursion over plain row lists, one :func:`oracle_best_split` per node.
+
+    A node is a leaf when it is pure, when it is ``max_depth`` levels down,
+    or when no threshold leaves ``min_leaf`` rows on both sides; a split
+    sends rows with values <= its threshold left. Of equal values such as
+    -0.0 and 0.0, the threshold is spelled as the last tied row spells it,
+    as a stable sort of the column would place it.
+    """
+    counts = [0] * len(CLASS_ALPHABET)
+    for y in labels:
+        counts[y] += 1
+    best = None
+    if max(counts) < len(labels) and (max_depth is None or max_depth > 0):
+        best = oracle_best_split(rows, labels, min_leaf=min_leaf)
+    if best is None:
+        return _leaf_from_counts(counts)
+    a = best[0]
+    threshold = [r[a] for r in rows if r[a] == best[1]][-1]
+    depth = None if max_depth is None else max_depth - 1
+    sides = [[(r, y) for r, y in zip(rows, labels) if (r[a] <= threshold) == left] for left in (True, False)]
+    left, right = (reference_grow([r for r, _ in side], [y for _, y in side], min_leaf, depth) for side in sides)
+    return Split(ATTRIBUTE_NAMES[a], threshold, left, right)
+
+
 def reference_prune(root: TreeNode, cf: float) -> TreeNode:
     """Pessimistic pruning as a post-order walk over Leaf/Split nodes.
 

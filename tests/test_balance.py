@@ -85,6 +85,23 @@ class TestNearestNeighbors:
         with pytest.raises(ValueError):
             nearest_neighbors(ds.records[0], [], k=1)
 
+    @pytest.mark.parametrize("schema, message", [
+        (("V1", "V1"), "duplicate attribute 'V1' in schema"),
+        ((), "schema must name at least one attribute"),
+        (("V1", "V12"), "unknown attribute 'V12' in schema"),
+    ])
+    def test_schema_rule_is_the_datasets(self, schema, message):
+        # the schema rule of a Dataset, so a repeated attribute cannot count twice in the distance
+        ds = make_dataset([(0.0, 0.0), (1.0, 0.0), (0.0, 2.0)], [0] * 3)
+        q, a, b = ds.records
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            nearest_neighbors(q, [a, b], k=1, schema=schema)
+
+    def test_non_integer_k_rejected(self):
+        ds = make_dataset([(0.0,), (1.0,)], [0, 0])
+        with pytest.raises(ValueError, match="^k must be an integer, got 1.5$"):
+            nearest_neighbors(ds.records[0], ds.records[1:], k=1.5)
+
 
 class TestResample:
     def test_output_size_and_membership(self):
@@ -330,6 +347,28 @@ class TestKnobMessages:
             with pytest.raises(ValueError) as exc_info:
                 BalanceTargets(mode, **{"target_counts": (3, 3, 3, 3), **knobs})
             assert str(exc_info.value) == message, mode
+
+    def test_non_integer_k_neighbors_is_refused_when_built(self):
+        # refused when built, not by a TypeError inside the neighbour search
+        ds = generate(GeneratorSpec((8, 8, 8, 8), seed=1))
+        with pytest.raises(ValueError, match="^k_neighbors must be an integer, got 2.5$"):
+            smote(ds, (8, 8, 8, 8), k_neighbors=2.5)
+        with pytest.raises(ValueError, match="^k_neighbors must be an integer, got 2.5$"):
+            BalanceTargets("resample", k_neighbors=2.5)
+
+    def test_non_integer_target_counts_are_refused(self):
+        # refused, not truncated by int to (8, 8, 8, 8)
+        message = r"^target_counts must hold non-negative integers, got \('8', 8.9, 8, 8\)$"
+        with pytest.raises(ValueError, match=message):
+            BalanceTargets("smote", target_counts=("8", 8.9, 8, 8))
+        for bad in ((True, 8, 8, 8), (-1, 8, 8, 8), 8, "8888"):
+            with pytest.raises(ValueError, match="^target_counts must "):
+                BalanceTargets("smote", target_counts=bad)
+
+    def test_numpy_integer_knobs_are_accepted(self):
+        request = BalanceTargets("smote", target_counts=np.array([8, 9, 8, 8]), k_neighbors=np.int64(3))
+        assert request.target_counts == (8, 9, 8, 8)
+        assert all(type(c) is int for c in request.target_counts)
 
     def test_two_bad_knobs_report_k_first(self):
         # one check order for smote and BalanceTargets: k_neighbors before target_counts

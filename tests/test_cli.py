@@ -285,6 +285,60 @@ class TestBalanceResolution:
         assert class_distribution(load_csv(by_config)) == (44, 44, 44, 44)
 
 
+class TestOneWayToReadACsv:
+    """Every command reads its CSV the same way, so any stage reads what another writes."""
+
+    def test_every_stage_reads_the_resampled_csv(self, data_csv, tmp_path, capsys):
+        resampled, model = tmp_path / "resampled.csv", tmp_path / "m.tree"
+        assert main(["balance", "--input", str(data_csv), "--mode", "resample", "--seed", "3",
+                     "-o", str(resampled)]) == 0
+        keys = [tuple(line.split(",")[:2]) for line in resampled.read_text().splitlines()[1:]]
+        assert len(set(keys)) < len(keys)  # drawn with replacement, so company_id/year pairs repeat
+        argvs = [
+            ["select-features", "--input", str(resampled)],
+            ["balance", "--input", str(resampled), "--mode", "resample", "-o", str(tmp_path / "again.csv")],
+            ["balance", "--input", str(resampled), "--mode", "smote", "--targets", "80,80,80,80",
+             "-o", str(tmp_path / "smoted.csv")],
+            ["label", "--input", str(resampled), "-o", str(tmp_path / "labeled.csv")],
+            ["train", "--input", str(resampled), "-o", str(model)],
+            ["cross-validate", "--input", str(resampled), "--folds", "3", "--report", str(tmp_path / "cv.txt")],
+            ["evaluate", "--model", str(model), "--test", str(resampled), "--report", str(tmp_path / "ev.txt")],
+            ["predict", "--model", str(model), "--input", str(resampled), "-o", str(tmp_path / "p.csv")],
+        ]
+        for argv in argvs:
+            code, _, err = _run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+        assert (tmp_path / "labeled.csv").read_bytes() == resampled.read_bytes()
+
+    def test_rows_read_cell_by_cell_go_through_label_train_predict(self, data_csv, tmp_path, capsys):
+        # tca/tcr with a blank car, an NBSP-padded number and an upper-case class
+        with open(data_csv, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        rows[2][2:5] = ["330.0", "220.0", ""]
+        rows[3][5] = "\u00a0" + rows[3][5]
+        rows[4][-1] = rows[4][-1].upper()
+        odd = tmp_path / "odd.csv"
+        with open(odd, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        labeled, model, predictions = tmp_path / "labeled.csv", tmp_path / "m.tree", tmp_path / "p.csv"
+        for argv in (["label", "--input", str(odd), "-o", str(labeled)],
+                     ["train", "--input", str(labeled), "-o", str(model)],
+                     ["predict", "--model", str(model), "--input", str(odd), "-o", str(predictions)]):
+            code, _, err = _run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+        assert load_csv(labeled).records[1].car == 150.0
+        assert len(predictions.read_text(encoding="utf-8").splitlines()) == 80
+
+    def test_cross_validate_notes_folds_whose_balancing_is_skipped(self, tmp_path, capsys):
+        # with no insolvency rows, full-bias resampling refuses every fold's training portion
+        data, report = tmp_path / "d.csv", tmp_path / "cv.txt"
+        assert main(["generate", "--counts", "0,8,8,44", "--seed", "7", "-o", str(data)]) == 0
+        code, _, _ = _run(capsys, "cross-validate", "--input", str(data), "--balance-mode", "resample",
+                          "--bias", "1", "--folds", "2", "--report", str(report))
+        assert code == 0
+        assert report.read_text().count("resampling skipped") == 2
+
+
 class TestTrainPredictEvaluate:
     def test_full_chain(self, data_csv, tmp_path, capsys):
         model = tmp_path / "m.tree"

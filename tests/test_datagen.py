@@ -105,3 +105,16 @@ def test_spec_validation():
         GeneratorSpec((1, 2, 3, 4), n_attributes=0)
     with pytest.raises(ValueError):
         GeneratorSpec((1, 2, 3, 4), n_attributes=12)
+
+
+def test_integer_fields_are_checked_when_built():
+    # refused when built, not inside generate, and counts are not truncated by int
+    with pytest.raises(ValueError, match=r"^n_attributes must be an integer in \[1, 11\], got 2.5$"):
+        GeneratorSpec((4, 4, 4, 4), n_attributes=2.5)
+    with pytest.raises(ValueError, match=r"^class_counts must hold non-negative integers, got \(2.9, '3', 1, 1\)$"):
+        GeneratorSpec((2.9, "3", 1, 1))
+    with pytest.raises(ValueError, match="^seed must be an integer, got 1.5$"):
+        GeneratorSpec((1, 1, 1, 1), seed=1.5)
+    spec = GeneratorSpec(np.array([1, 2, 3, 4]), n_attributes=np.int64(3), seed=np.uint32(7))
+    assert spec.class_counts == (1, 2, 3, 4)
+    assert len(generate(spec)) == 10

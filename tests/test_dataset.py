@@ -23,6 +23,7 @@ from solvtree import (
     label_from_car,
     load_csv,
     smote,
+    stratified_folds,
     stratified_split,
     write_csv,
 )
@@ -98,6 +99,21 @@ class TestCompanyRecord:
         assert rec.is_synthetic
         with pytest.raises(ValueError):
             CompanyRecord("A", None, None, None, 150.0, (0.0,) * 11)
+
+    @pytest.mark.parametrize("company_id", ["", "  ", " Acme", "Acme\t", "\u00a0Acme", 7])
+    def test_company_id_is_what_the_csv_reader_reads_back(self, company_id):
+        # after write_csv, load_csv would refuse these or read back a stripped id
+        with pytest.raises(ValueError, match="^company_id must be non-empty text without surrounding whitespace"):
+            CompanyRecord(company_id, 2001, None, None, 150.0, (0.0,) * 11)
+
+    @pytest.mark.parametrize("year", [2001.5, 2001.0, True, "2001"])
+    def test_year_is_an_integer(self, year):
+        with pytest.raises(ValueError, match="^year must be an integer, got "):
+            CompanyRecord("Acme", year, None, None, 150.0, (0.0,) * 11)
+
+    def test_numpy_integer_year_reads_back_equal(self):
+        rec = CompanyRecord("Acme", np.int64(2001), None, None, 150.0, (0.0,) * 11)
+        assert load_csv(io.StringIO(_dump(Dataset([rec])))).records == (rec,)
 
 
 def _csv(rows):
@@ -375,6 +391,39 @@ class TestCsvFuzz:
             assert _dump(load_csv(io.StringIO(text))) == text
 
 
+def _record_args(labeled: bool):
+    """CompanyRecord arguments, real or synthetic, with or without tca/tcr; some ids and years are refused."""
+    key = st.tuples(st.text(_ID_CHARS, max_size=4) | st.integers(0, 9),
+                    st.integers(-10**6, 10**6) | st.sampled_from([2001.5, 2001.0, True, "2001", np.int64(2001)]))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    money = st.tuples(st.floats(0.0, 1e6), st.floats(1e-3, 1e6)).map(lambda m: (*m, 100.0 * m[0] / m[1]))
+    return st.tuples(
+        key | st.just((None, None)),
+        money | finite.map(lambda car: (None, None, car)),
+        st.tuples(*[finite] * len(ATTRIBUTE_NAMES)),
+        st.sampled_from(CLASS_ALPHABET) if labeled else st.none(),
+    )
+
+
+def _accepted(args) -> list[CompanyRecord]:
+    """The records the constructor accepts, of each (key, money, values, label)."""
+    records = []
+    for key, money, values, label in args:
+        try:
+            records.append(CompanyRecord(*key, *money, values, label))
+        except ValueError:
+            pass
+    return records
+
+
+class TestRecordRoundTrip:
+    @given(st.booleans().flatmap(lambda labeled: st.lists(_record_args(labeled), max_size=6)))
+    def test_load_csv_reads_back_every_record_the_constructor_accepts(self, args):
+        records = _accepted(args)
+        loaded = load_csv(io.StringIO(_dump(Dataset(records))), allow_duplicates=True)
+        assert loaded.records == tuple(records)
+
+
 class TestColumnarDataset:
     def test_columns_from_records(self):
         records = (
@@ -475,6 +524,16 @@ class TestStratifiedSplit:
         for bad in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ValueError):
                 stratified_split(ds, bad, seed=0)
+
+    def test_train_side_is_the_head_of_each_class_shuffle_the_folds_deal(self):
+        counts = (5, 3, 4, 8)
+        ds = generate(GeneratorSpec(counts, seed=5))
+        # leave-one-out folds hold one row each, in dealing order: the class shuffles end to end
+        dealt = [fold[0] for fold in stratified_folds(ds, len(ds), seed=4)]
+        starts = np.cumsum((0,) + counts)
+        heads = [dealt[start:start + n] for start, n in zip(starts, (3, 2, 2, 5))]  # round(0.6 * count)
+        train, _ = stratified_split(ds, 0.6, seed=4)
+        assert train.company_id.tolist() == [f"C{i:04d}" for i in sorted(sum(heads, []))]
 
     def test_schema_preserved(self):
         ds = generate(GeneratorSpec((4, 4, 4, 4), n_attributes=5, seed=5))

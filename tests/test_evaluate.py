@@ -110,6 +110,8 @@ class TestStratifiedFolds:
             stratified_folds(ds, 1, seed=0)
         with pytest.raises(ValueError):
             stratified_folds(ds, 9, seed=0)
+        with pytest.raises(ValueError, match="^k must be an integer, got 2.5$"):
+            stratified_folds(ds, 2.5, seed=0)
 
     def test_deterministic(self):
         ds = generate(GeneratorSpec((10, 4, 5, 21), seed=2))

@@ -230,6 +230,22 @@ class TestCfsMerit:
         with pytest.raises(ValueError):
             cfs_merit([], ds, view)
 
+    @pytest.mark.parametrize("subset, message", [
+        ([], "schema must name at least one attribute"),
+        (["V1", "V1"], "duplicate attribute 'V1' in schema"),
+        (["V12"], "unknown attribute 'V12' in schema"),
+        (["V3"], "attribute 'V3' not in the discretized view"),
+    ])
+    def test_subset_follows_the_schema_rule(self, subset, message):
+        ds = make_dataset([(0.0, 1.0)] * 4, [0, 0, 3, 3])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cfs_merit(subset, ds, discretize(ds))
+
+    def test_non_integer_bin_count_rejected(self):
+        ds = make_dataset([(0.0,)] * 4, [0, 0, 3, 3])
+        with pytest.raises(ValueError, match="^n_bins must be an integer, got 2.5$"):
+            discretize(ds, 2.5)
+
 
 class TestGreedyStepwise:
     def _twelve_record_dataset(self):

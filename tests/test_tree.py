@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import special, stats
 
 import solvtree
 import solvtree.tree
@@ -39,7 +39,14 @@ from solvtree import (
     stratified_split,
 )
 
-from oracles import make_dataset, oracle_best_split, random_split_instance, reference_prune, same_tree
+from oracles import (
+    make_dataset,
+    oracle_best_split,
+    random_split_instance,
+    reference_grow,
+    reference_prune,
+    same_tree,
+)
 
 
 class TestEntropy:
@@ -88,6 +95,7 @@ class TestPessimisticError:
 
     @pytest.mark.parametrize("cf", [0.0001, 0.01, 0.25, 0.5])
     def test_tail_inversion_grid(self, cf):
+        special, stats = pytest.importorskip("scipy.special"), pytest.importorskip("scipy.stats")
         pairs = [(e, n) for n in range(1, 41) for e in range(1, n)]
         for n in (616, 2464, 9856):
             spread = set(np.linspace(1, n - 1, 25).astype(int).tolist()) | {2, 3, n - 2}
@@ -387,6 +395,24 @@ class TestGrow:
             assert routed[id(leaf)] == list(leaf.class_counts)
 
 
+    @given(
+        st.integers(1, 3).flatmap(lambda k: st.lists(
+            st.tuples(st.tuples(*[st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.5])] * k), st.integers(0, 3)),
+            min_size=1, max_size=14)),
+        st.integers(1, 3),
+        st.none() | st.integers(0, 4),
+    )
+    def test_unpruned_tree_matches_the_reference_grower(self, rows_labels, min_leaf, max_depth):
+        # tie-heavy values, -0.0 against 0.0 included, on up to three attributes
+        rows, labels = map(list, zip(*rows_labels))
+        ds = make_dataset(rows, labels)
+        params = LearnerParams(min_leaf=min_leaf, max_depth=max_depth)
+        model = grow_unpruned(ds, params)
+        root = reference_grow(rows, labels, min_leaf, max_depth)
+        assert serialize(model) == serialize(TreeModel(root, params, ds.schema, model.training_fingerprint))
+        counts = tuple(labels.count(c) for c in range(4))
+        assert model.training_fingerprint == (len(rows), counts)
+
     @pytest.mark.parametrize("fit", [grow_unpruned, grow])
     def test_deep_alternating_set_grows_without_recursion(self, fit):
         # labels alternate in pairs along one attribute, so the tree is a
@@ -434,6 +460,8 @@ class TestPrune:
             assert prune(once, 0.25) == once
 
     def test_matches_pruning_with_reference_bound(self, monkeypatch):
+        special = pytest.importorskip("scipy.special")
+
         def reference(e, n, cf):
             return float(special.betaincinv(e + 1, n - e, 1.0 - cf))
 
@@ -638,3 +666,20 @@ class TestLearnerParams:
             LearnerParams(min_leaf=0)
         with pytest.raises(ValueError):
             LearnerParams(max_depth=-1)
+
+    @pytest.mark.parametrize("knobs, message", [
+        ({"min_leaf": 2.5}, "min_leaf must be an integer, got 2.5"),
+        ({"min_leaf": True}, "min_leaf must be an integer, got True"),
+        ({"max_depth": 2.5}, "max_depth must be an integer, got 2.5"),
+        ({"max_depth": "3"}, "max_depth must be an integer, got '3'"),
+    ])
+    def test_integer_knobs_are_checked_when_built(self, knobs, message):
+        # refused when built: a float min_leaf would fail deep inside best_split, and a
+        # float max_depth would give model text that parse rejects
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            LearnerParams(**knobs)
+
+    def test_numpy_integer_knobs_are_accepted(self):
+        params = LearnerParams(min_leaf=np.int64(2), max_depth=np.int32(3))
+        model = grow(generate(GeneratorSpec((6, 6, 6, 6), seed=2)), params)
+        assert parse(serialize(model)).params == LearnerParams(min_leaf=2, max_depth=3)
