@@ -17,6 +17,7 @@ from .dataset import (
     SolvencyClass,
     _check_int,
     _class_counts,
+    _real,
     _round_half_up,
 )
 
@@ -34,6 +35,8 @@ class BalanceTargets:
     def __post_init__(self) -> None:
         if self.mode not in ("resample", "smote"):
             raise ValueError(f"mode must be 'resample' or 'smote', got {self.mode!r}")
+        for knob in ("bias_to_uniform", "sample_size_percent"):
+            object.__setattr__(self, knob, _real(knob, getattr(self, knob)))
         if not 0.0 <= self.bias_to_uniform <= 1.0:
             raise ValueError(f"bias_to_uniform must be in [0, 1], got {self.bias_to_uniform}")
         if not 0 < self.sample_size_percent < math.inf:

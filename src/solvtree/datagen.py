@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ATTRIBUTE_NAMES, CLASS_ALPHABET, MODERATE_MIN_CAR, N_CLASSES, STRONG_MIN_CAR, WEAK_MIN_CAR
-from .dataset import Dataset, _check_int, _class_counts, _is_int
+from .dataset import Dataset, _check_int, _class_counts, _is_int, _real
 
 # CAR draw ranges per band, between the band edges; the insolvency band is
 # floored at 40 and the open-ended strong band capped at 300 so draws stay bounded.
@@ -27,6 +27,7 @@ class GeneratorSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "class_counts", _class_counts("class_counts", self.class_counts))
+        object.__setattr__(self, "separation", _real("separation", self.separation))
         if not (math.isfinite((N_CLASSES - 1) * self.separation) and self.separation >= 0):
             raise ValueError(f"separation must be >= 0 with a finite top class mean "
                              f"{N_CLASSES - 1} * separation, got {self.separation}")

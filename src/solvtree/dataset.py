@@ -106,6 +106,16 @@ def _check_int(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a float; raises ValueError naming the field ``name`` unless it is a real number.
+
+    Ints, floats and numpy numbers are; a bool or a str is not.
+    """
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _class_counts(name: str, counts) -> tuple[int, ...]:
     """``counts`` as a tuple of non-negative ints, one per class; raises ValueError naming the field ``name``."""
     counts = tuple(counts) if isinstance(counts, Iterable) else ()

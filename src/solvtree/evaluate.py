@@ -7,7 +7,12 @@ instance contributes one residual per class against its one-hot label.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import pickle
+import threading
+import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -132,6 +137,7 @@ def _fold_seed(seed: int, fold: int) -> int:
     return int(np.random.SeedSequence(entropy=[seed, fold]).generate_state(1)[0])
 
 
+FORK_MIN_ROWS = 256  # cross_validate forks from this many rows; a fork and its reaping cost ~2 folds on 200 rows
 _SKIPPED = {
     "resample": "absent from the training portion; resampling skipped",
     "smote": "has fewer than 2 training members; oversampling skipped",
@@ -149,6 +155,58 @@ def _balanced_training(train: Dataset, balance: BalanceTargets, seed: int, fold:
     return _apply(train, balance, seed), []
 
 
+def _map_folds(fold_result, k: int, workers: int) -> list:
+    """``[fold_result(i) for i in range(k)]``, fold i run by worker i % workers: 0 is this process, others forked."""
+    def run(folds) -> dict:  # results by fold up to the first that raises, whose entry is its exception
+        done = {}
+        for i in folds:
+            try:
+                done[i] = fold_result(i)
+            except Exception as exc:
+                return {**done, i: exc}
+        return done
+
+    children = []  # (pid or None, reader of the pipe that brings its pickled results, folds)
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                with warnings.catch_warnings():  # Python >= 3.12 warns of numpy's OpenBLAS threads, but
+                    # solvtree makes no BLAS call and OpenBLAS rebuilds its pool in the child
+                    warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                pid = None  # its pipe reads empty
+            if pid == 0:
+                try:
+                    os.close(read_fd)
+                    for _, reader, _ in children:
+                        reader.close()
+                    os.write(write_fd, pickle.dumps(run(range(w, k, workers))))
+                finally:
+                    os._exit(0)  # never return into the caller's stack
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb"), range(w, k, workers)))
+        done = run(range(0, k, workers))
+        for _, reader, folds in children:
+            try:
+                done.update(pickle.loads(reader.read()))
+            except Exception:  # no child, or it died, wrote less than all, or its exception did not pickle
+                done.update(run(folds))
+    finally:
+        for pid, reader, _ in children:
+            reader.close()
+            if pid is not None:  # a child whose pipe reached EOF has nothing left to do
+                import signal  # here, not at module load, where numpy has not imported it: ~1.3 ms
+                with contextlib.suppress(ProcessLookupError, ChildProcessError):  # reaped where SIGCHLD is ignored
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+    for i in range(k):  # each worker stops at its first failure, so the lowest failing fold is met first
+        if isinstance(done[i], Exception):
+            raise done[i]
+    return [done[i] for i in range(k)]
+
+
 def cross_validate(
     ds: Dataset,
     k: int,
@@ -158,24 +216,25 @@ def cross_validate(
 ) -> EvalReport:
     """k-fold cross-validation pooling every held-out prediction.
 
-    When a balancing transform is given it is applied to each fold's
-    training portion only; held-out records are never balanced. A fold
-    whose training portion ``resample`` or ``smote`` would refuse (SMOTE
-    targets raised to the fold's counts first) is trained unbalanced and
-    noted in the report warnings. Per-fold balancing seeds derive from (seed, fold), so
-    the whole run is deterministic given its seed.
+    When a balancing transform is given it is applied to each fold's training portion only;
+    held-out records are never balanced. A fold whose training portion ``resample`` or ``smote``
+    would refuse (SMOTE targets raised to the fold's counts first) is trained unbalanced and noted
+    in the report warnings. Per-fold balancing seeds derive from (seed, fold), so the whole run is
+    deterministic given its seed. On Linux, inputs of ``FORK_MIN_ROWS`` rows or more run their
+    folds in min(k, usable CPUs) processes, with the same report.
     """
     folds = stratified_folds(ds, k, seed)
-    warnings: list[str] = []
-    routed = []  # (class indices, frequencies) of each fold's held-out rows
-    for i, fold in enumerate(folds):
-        train = ds.take(np.delete(np.arange(len(ds)), fold))
+
+    def fold_result(i: int):  # ((class indices, frequencies) of fold i's held-out rows, its warnings)
+        train, notes = ds.take(np.delete(np.arange(len(ds)), folds[i])), []
         if balance is not None:
             train, notes = _balanced_training(train, balance, _fold_seed(seed, i), i)
-            warnings.extend(notes)
-        routed.append(_route(grow(train, params), ds.values[fold]))
+        return _route(grow(train, params), ds.values[folds[i]]), notes
+
+    forkable = hasattr(os, "sched_getaffinity") and threading.active_count() == 1 and len(ds) >= FORK_MIN_ROWS
+    routed, notes = zip(*_map_folds(fold_result, k, min(k, len(os.sched_getaffinity(0))) if forkable else 1))
     predicted, probs = map(np.concatenate, zip(*routed))
-    return report_from_predictions(ds.label_indices()[np.concatenate(folds)], predicted, probs, warnings)
+    return report_from_predictions(ds.label_indices()[np.concatenate(folds)], predicted, probs, sum(notes, []))
 
 
 def evaluate_on(model: TreeModel, test: Dataset) -> EvalReport:

@@ -18,7 +18,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .dataset import CLASS_ALPHABET, N_CLASSES, CompanyRecord, Dataset, SolvencyClass
-from .dataset import _check_int, _sum_in_order, attribute_column
+from .dataset import _check_int, _real, _sum_in_order, attribute_column
 
 # Score comparisons treat differences within this slack as ties so exact
 # mathematical ties are not broken by rounding noise.
@@ -36,6 +36,7 @@ class LearnerParams:
     max_depth: int | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "confidence_factor", _real("confidence_factor", self.confidence_factor))
         if not 0.0 < self.confidence_factor <= 0.5:
             raise ValueError(f"confidence_factor must be in (0, 0.5], got {self.confidence_factor}")
         _check_int("min_leaf", self.min_leaf, 1)

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -364,6 +365,29 @@ class TestKnobMessages:
         for bad in ((True, 8, 8, 8), (-1, 8, 8, 8), 8, "8888"):
             with pytest.raises(ValueError, match="^target_counts must "):
                 BalanceTargets("smote", target_counts=bad)
+
+    @pytest.mark.parametrize("value", ["1", True])
+    def test_bias_to_uniform_must_be_a_real_number(self, value):
+        # refused naming the field, not by a TypeError from the range check
+        message = f"^bias_to_uniform must be a real number, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            BalanceTargets("resample", bias_to_uniform=value)
+        with pytest.raises(ValueError, match=message):
+            resample(_KNOB_DATA, bias_to_uniform=value)
+
+    @pytest.mark.parametrize("value", ["50", False])
+    def test_sample_size_percent_must_be_a_real_number(self, value):
+        message = f"^sample_size_percent must be a real number, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            BalanceTargets("resample", sample_size_percent=value)
+        with pytest.raises(ValueError, match=message):
+            resample(_KNOB_DATA, sample_size_percent=value)
+
+    def test_numpy_float_knobs_are_stored_as_floats(self):
+        request = BalanceTargets("resample", bias_to_uniform=np.float32(0.5), sample_size_percent=np.int64(150))
+        assert (request.bias_to_uniform, request.sample_size_percent) == (0.5, 150.0)
+        assert all(type(v) is float for v in (request.bias_to_uniform, request.sample_size_percent))
+        assert len(resample(_KNOB_DATA, np.float64(0.5), np.float32(150.0), seed=0)) == 18
 
     def test_numpy_integer_knobs_are_accepted(self):
         request = BalanceTargets("smote", target_counts=np.array([8, 9, 8, 8]), k_neighbors=np.int64(3))

@@ -596,6 +596,20 @@ class TestConfigAndSeeds:
         assert outputs["config"].read_bytes() == outputs["seed0"].read_bytes()
         assert outputs["env"].read_bytes() != outputs["seed0"].read_bytes()
 
+    def test_env_seed_takes_ascii_digits_only(self, tmp_path, monkeypatch, capsys):
+        # int alone reads " ٣_3 " as 33; the CSV reader's rule refuses it
+        out = tmp_path / "out.csv"
+        for value in (" ٣_3 ", "٣", "３", "3_3", "x"):
+            monkeypatch.setenv("SOLVTREE_SEED", value)
+            code, _, err = _run(capsys, "generate", "--counts", "2,2,2,2", "-o", str(out))
+            assert code == 2 and "SOLVTREE_SEED must be an integer" in err, value
+        assert not out.exists()
+        monkeypatch.setenv("SOLVTREE_SEED", " 33 ")
+        assert main(["generate", "--counts", "2,2,2,2", "-o", str(out)]) == 0
+        explicit = tmp_path / "explicit.csv"
+        assert main(["generate", "--counts", "2,2,2,2", "--seed", "33", "-o", str(explicit)]) == 0
+        assert out.read_bytes() == explicit.read_bytes()
+
 
 COMMANDS = ["generate", "label", "select-features", "balance", "train", "cross-validate", "evaluate",
             "predict", "render-tree"]
@@ -936,6 +950,25 @@ class TestExitCodes:
         code, _, err = _run(capsys, "label")
         assert code == 2
         assert "--help" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--counts", "1,1,1,1", "--seed"],
+        ["generate", "--counts", "1,1,1,1", "--n-attributes"],
+        ["generate", "--counts"],
+        ["select-features", "--bins"],
+        ["balance", "--mode", "smote", "--targets"],
+        ["balance", "--mode", "smote", "--k"],
+        ["cross-validate", "--folds"],
+        ["cross-validate", "--min-leaf"],
+        ["cross-validate", "--max-depth"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-1]}")
+    def test_integer_flags_take_ascii_digits_only(self, argv, capsys):
+        # Arabic-Indic and full-width digits and "_" groups are usage errors, as a non-number is;
+        # in a CSV cell they are data errors (test below)
+        spell = (lambda v: f"{v},1,1,1") if argv[-1] in ("--counts", "--targets") else str
+        for value in ("x", "٥", "５", "1_0"):
+            code, out, err = _run(capsys, *argv, spell(value))
+            assert (code, out) == (2, "") and argv[-1] in err, value
 
     def test_overflowing_car_is_a_data_error_naming_its_cell(self, tmp_path, capsys):
         src = tmp_path / "raw.csv"

@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,16 @@ def test_spec_validation():
         GeneratorSpec((1, 2, 3, 4), n_attributes=0)
     with pytest.raises(ValueError):
         GeneratorSpec((1, 2, 3, 4), n_attributes=12)
+
+
+@pytest.mark.parametrize("value", ["2", True, None])
+def test_separation_must_be_a_real_number(value):
+    # refused naming the field: "2" ended in a TypeError and True was taken as 1
+    with pytest.raises(ValueError, match=f"^separation must be a real number, got {re.escape(repr(value))}$"):
+        GeneratorSpec((1, 1, 1, 1), separation=value)
+    spec = GeneratorSpec((1, 1, 1, 1), separation=np.float32(2.0))
+    assert type(spec.separation) is float
+    assert np.array_equal(generate(spec).values, generate(GeneratorSpec((1, 1, 1, 1), separation=2.0)).values)
 
 
 def test_integer_fields_are_checked_when_built():

@@ -1,5 +1,9 @@
+import errno
 import itertools
 import math
+import os
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +27,8 @@ from solvtree import (
     stratified_folds,
     summary_lines,
 )
+
+from solvtree import evaluate
 
 from oracles import make_dataset
 
@@ -212,6 +218,128 @@ class TestCrossValidate:
                 assert warned == refused, (counts, balance)
                 outcomes.add(bool(refused))
         assert outcomes == {True, False}
+
+
+def _cpus(monkeypatch, n: int) -> None:
+    """Let cross_validate see n usable CPUs, so it runs min(k, n) workers on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _count_forks(monkeypatch) -> list:
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# 306 rows, at least FORK_MIN_ROWS: two insolvency records, so with k = 10 the two folds holding
+# one out train on a single one, which SMOTE cannot grow (fold 0 runs here, fold 1 in a child)
+_FORKED = generate(GeneratorSpec((2, 24, 80, 200), separation=1.5, seed=21))
+_SMOTE_TO = BalanceTargets("smote", target_counts=(200, 200, 200, 200), k_neighbors=3)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="folds run in forked workers on Linux only")
+class TestForkedFolds:
+    @pytest.mark.parametrize("balance", [
+        BalanceTargets("smote", target_counts=(24, 60, 80, 200), k_neighbors=3),
+        _SMOTE_TO,
+        None,
+    ], ids=["smote", "smote-skipping-two-folds", "unbalanced"])
+    def test_report_bytes_match_the_serial_run(self, monkeypatch, balance):
+        assert len(_FORKED) >= evaluate.FORK_MIN_ROWS
+        _cpus(monkeypatch, 1)
+        serial = cross_validate(_FORKED, 10, LearnerParams(), balance, seed=4)
+        _cpus(monkeypatch, 3)
+        forks = _count_forks(monkeypatch)
+        forked = cross_validate(_FORKED, 10, LearnerParams(), balance, seed=4)
+        assert forks == [os.getpid()] * 2
+        assert render_report(forked) == render_report(serial)
+        assert summary_lines(forked) == summary_lines(serial)
+        if balance is _SMOTE_TO:
+            assert [w.split(":")[0] for w in forked.warnings] == ["fold 0", "fold 1"]
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("failing", [{1}, {3, 4}, {2, 5, 9}, {8}])
+    @pytest.mark.parametrize("picklable", [True, False])
+    def test_a_failing_fold_raises_what_the_serial_loop_raises(self, monkeypatch, failing, picklable):
+        # 3 workers: folds 0, 3, 6, 9 run here, 1, 4, 7 and 2, 5, 8 in two children; an
+        # exception class local to this test cannot be pickled, so that child sends nothing back
+        class Unpicklable(ValueError):
+            pass
+
+        error = ValueError if picklable else Unpicklable
+        real = evaluate._balanced_training
+
+        def balanced_training(train, balance, seed, fold):
+            if fold in failing:
+                raise error(f"fold {fold} failed")
+            return real(train, balance, seed, fold)
+
+        monkeypatch.setattr(evaluate, "_balanced_training", balanced_training)
+        raised = {}
+        for cpus in (1, 3):
+            _cpus(monkeypatch, cpus)
+            with pytest.raises(Exception) as exc_info:
+                cross_validate(_FORKED, 10, LearnerParams(), _SMOTE_TO, seed=4)
+            raised[cpus] = (exc_info.type, str(exc_info.value))
+            _assert_no_child_left()
+        assert raised[3] == raised[1] == (error, f"fold {min(failing)} failed")
+
+    def test_no_fork_below_the_row_gate_or_beside_a_thread(self, monkeypatch):
+        _cpus(monkeypatch, 3)
+        forks = _count_forks(monkeypatch)
+        small = generate(GeneratorSpec((10, 20, 30, evaluate.FORK_MIN_ROWS - 61), seed=1))
+        assert len(small) == evaluate.FORK_MIN_ROWS - 1
+        cross_validate(small, 10, seed=2)
+        assert forks == []
+        released = threading.Event()
+        thread = threading.Thread(target=released.wait)
+        thread.start()
+        try:
+            cross_validate(_FORKED, 10, seed=2)
+        finally:
+            released.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        cross_validate(_FORKED, 10, seed=2)
+        assert len(forks) == 2
+        _assert_no_child_left()
+
+    def test_folds_run_here_when_fork_fails(self, monkeypatch):
+        _cpus(monkeypatch, 1)
+        serial = cross_validate(_FORKED, 10, LearnerParams(), _SMOTE_TO, seed=6)
+        _cpus(monkeypatch, 3)
+
+        def fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        report = cross_validate(_FORKED, 10, LearnerParams(), _SMOTE_TO, seed=6)
+        assert render_report(report) == render_report(serial)
+        assert summary_lines(report) == summary_lines(serial)
+
+    def test_a_caller_ignoring_sigchld_gets_the_report(self, monkeypatch):
+        # with SIGCHLD ignored the kernel reaps each child itself, so kill and waitpid find none
+        _cpus(monkeypatch, 1)
+        serial = cross_validate(_FORKED, 10, seed=4)
+        _cpus(monkeypatch, 3)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            forked = cross_validate(_FORKED, 10, seed=4)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert summary_lines(forked) == summary_lines(serial)
+        _assert_no_child_left()
 
 
 class TestEvaluateOn:

@@ -679,6 +679,19 @@ class TestLearnerParams:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             LearnerParams(**knobs)
 
+    @pytest.mark.parametrize("value", ["0.25", True, None])
+    def test_confidence_factor_must_be_a_real_number(self, value):
+        # refused naming the field, not by a TypeError from the range check
+        with pytest.raises(ValueError, match=f"^confidence_factor must be a real number, got {re.escape(repr(value))}$"):
+            LearnerParams(confidence_factor=value)
+
+    def test_numpy_confidence_factor_is_stored_as_a_float(self):
+        # a numpy float would otherwise reach the model text as "np.float32(...)", which parse refuses
+        params = LearnerParams(confidence_factor=np.float32(0.3))
+        assert type(params.confidence_factor) is float
+        model = grow(generate(GeneratorSpec((6, 6, 6, 6), seed=2)), params)
+        assert parse(serialize(model)).params == params
+
     def test_numpy_integer_knobs_are_accepted(self):
         params = LearnerParams(min_leaf=np.int64(2), max_depth=np.int32(3))
         model = grow(generate(GeneratorSpec((6, 6, 6, 6), seed=2)), params)
