@@ -16,7 +16,8 @@ from typing import Iterable
 
 from .balance import BalanceTargets, _apply
 from .dataset import (
-    CLASS_ALPHABET, Dataset, _car_bands, _check_schema, _class_counts, _csv_text, _plain, load_csv, write_csv,
+    CLASS_ALPHABET, Dataset, _car_bands, _check_schema, _class_counts, _csv_text, _plain_float, _plain_int, load_csv,
+    write_csv,
 )
 from .datagen import GeneratorSpec, generate
 from .evaluate import cross_validate, evaluate_on, render_report, summary_lines
@@ -114,19 +115,9 @@ class CliUsageError(Exception):
     pass
 
 
-def _int(text: str) -> int:
-    """``int(text)`` for ASCII digits without ``_``, as the CSV reader reads them; raises ValueError otherwise."""
-    if not _plain(text):
-        raise ValueError(f"invalid literal for int(): {text!r}")
-    return int(text)
-
-
-_int.__name__ = "int"  # argparse names the type in its "invalid int value" message
-
-
 def _counts(text: str) -> tuple[int, int, int, int]:
     try:
-        return _class_counts("counts", [_int(p) for p in text.split(",")])
+        return _class_counts("counts", [_plain_int(p) for p in text.split(",")])
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected four comma-separated non-negative integers, got {text!r}") from None
 
@@ -175,7 +166,7 @@ def _resolve_seed(args, cfg: PipelineConfig) -> int:
     if env is None:
         return cfg.seed
     try:
-        return _int(env)
+        return _plain_int(env)
     except ValueError:
         raise CliUsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
@@ -291,7 +282,7 @@ def _cmd_render_tree(args, cfg: PipelineConfig) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_int, default=None, help="random seed (non-negative)")
+    common.add_argument("--seed", type=_plain_int, default=None, help="random seed (non-negative)")
     common.add_argument("--config", default=None, help="JSON pipeline config supplying defaults")
 
     output = argparse.ArgumentParser(add_help=False)
@@ -305,19 +296,19 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--summary", default=None, help="key=value summary path")
 
     learner = argparse.ArgumentParser(add_help=False)
-    learner.add_argument("--cf", type=float, default=None, help="pruning confidence factor")
-    learner.add_argument("--min-leaf", type=_int, default=None, help="minimum records per split side")
-    learner.add_argument("--max-depth", type=_int, default=None, help="depth cap, unlimited when absent")
+    learner.add_argument("--cf", type=_plain_float, default=None, help="pruning confidence factor")
+    learner.add_argument("--min-leaf", type=_plain_int, default=None, help="minimum records per split side")
+    learner.add_argument("--max-depth", type=_plain_int, default=None, help="depth cap, unlimited when absent")
     learner.add_argument(
         "--attributes", type=_attr_list, default=None, help="restrict the schema, e.g. V1,V3,V7"
     )
 
     balance_flags = argparse.ArgumentParser(add_help=False)
-    balance_flags.add_argument("--bias", type=float, default=None, help="bias toward uniform in [0, 1]")
-    balance_flags.add_argument("--percent", type=float, default=None, help="output size as percent of input")
+    balance_flags.add_argument("--bias", type=_plain_float, default=None, help="bias toward uniform in [0, 1]")
+    balance_flags.add_argument("--percent", type=_plain_float, default=None, help="output size as percent of input")
     balance_flags.add_argument("--targets", type=_counts, default=None, help="per-class target counts a,b,c,d")
     balance_flags.add_argument(
-        "--k", "--k-neighbors", dest="k_neighbors", type=_int, default=None,
+        "--k", "--k-neighbors", dest="k_neighbors", type=_plain_int, default=None,
         help="SMOTE neighbor count",
     )
 
@@ -331,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
         "generate", parents=[common, output], help="write a seeded synthetic dataset CSV"
     )
     p.add_argument("--counts", type=_counts, required=True, help="per-class record counts a,b,c,d")
-    p.add_argument("--separation", type=float, default=6.0, help="class mean spacing in within-class sd")
-    p.add_argument("--n-attributes", type=_int, default=11, help="number of schema attributes (1..11)")
+    p.add_argument("--separation", type=_plain_float, default=6.0, help="class mean spacing in within-class sd")
+    p.add_argument("--n-attributes", type=_plain_int, default=11, help="number of schema attributes (1..11)")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("label", parents=[common, output], help="derive class labels from CAR bands")
@@ -343,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
         "select-features", parents=[common], help="greedy correlation-based attribute selection"
     )
     p.add_argument("--input", default=None, help="labeled input CSV")
-    p.add_argument("--bins", type=_int, default=None, help="equal-frequency bins for correlation")
+    p.add_argument("--bins", type=_plain_int, default=None, help="equal-frequency bins for correlation")
     p.set_defaults(func=_cmd_select_features)
 
     p = sub.add_parser(
@@ -363,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--input", default=None, help="labeled input CSV")
     p.add_argument(
-        "--folds", type=_int, default=None, help="stratified folds, at least 2; default the config's folds, else 10"
+        "--folds", type=_plain_int, default=None, help="stratified folds, at least 2; default the config's folds, else 10"
     )
     p.add_argument(
         "--balance-mode", choices=["resample", "smote", "none"], default=None,

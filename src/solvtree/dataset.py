@@ -381,6 +381,20 @@ def _plain(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
+def _plain_number(convert):
+    """``convert`` of a text that :func:`_plain` passes; any other raises ValueError."""
+    def read(text: str):
+        if not _plain(text):
+            raise ValueError(f"invalid literal for {convert.__name__}(): {text!r}")
+        return convert(text)
+
+    read.__name__ = convert.__name__  # argparse names the type in its "invalid int value" message
+    return read
+
+
+_plain_int, _plain_float = _plain_number(int), _plain_number(float)
+
+
 def _cell_float(cell: str, row: int, column: str, required: bool) -> float | None:
     cell = cell.strip()
     if cell == "":
@@ -388,9 +402,7 @@ def _cell_float(cell: str, row: int, column: str, required: bool) -> float | Non
             raise CsvFormatError("missing value", row=row, column=column)
         return None
     try:
-        if not _plain(cell):
-            raise ValueError(cell)
-        v = float(cell)
+        v = _plain_float(cell)
     except ValueError:
         raise CsvFormatError(f"non-numeric value {cell!r}", row=row, column=column) from None
     if not math.isfinite(v):
@@ -436,9 +448,7 @@ def _row(cells: Sequence[str], row: int, has_class: bool):
         raise CsvFormatError(f"expected {_N_CELLS + has_class} cells, found {len(cells)}", row=row)
     company_id, year_cell = cells[0].strip() or None, cells[1].strip()
     try:
-        if not _plain(year_cell):
-            raise ValueError(year_cell)
-        year = int(year_cell) if year_cell else None
+        year = _plain_int(year_cell) if year_cell else None
     except ValueError:
         raise CsvFormatError(f"non-numeric year {year_cell!r}", row=row, column="year") from None
     money = cells[2] or cells[3]

@@ -156,17 +156,17 @@ def _balanced_training(train: Dataset, balance: BalanceTargets, seed: int, fold:
 
 
 def _map_folds(fold_result, k: int, workers: int) -> list:
-    """``[fold_result(i) for i in range(k)]``, fold i run by worker i % workers: 0 is this process, others forked."""
-    def run(folds) -> dict:  # results by fold up to the first that raises, whose entry is its exception
+    """``[fold_result(i) for i in range(k)]``, fold i tried first by worker i % workers: 0 is this process,
+    others forked. Every fold left without a result (unforked or dead child, short pipe, an exception)
+    runs again here in index order, so the lowest failing fold raises here, as the serial loop would."""
+    def run(folds) -> dict:  # results by fold up to the first that raises, which is dropped
         done = {}
-        for i in folds:
-            try:
+        with contextlib.suppress(Exception):
+            for i in folds:
                 done[i] = fold_result(i)
-            except Exception as exc:
-                return {**done, i: exc}
         return done
 
-    children = []  # (pid or None, reader of the pipe that brings its pickled results, folds)
+    children = []  # (pid or None, reader of the pipe that brings its pickled results)
     try:
         for w in range(1, workers):
             read_fd, write_fd = os.pipe()
@@ -180,31 +180,24 @@ def _map_folds(fold_result, k: int, workers: int) -> list:
             if pid == 0:
                 try:
                     os.close(read_fd)
-                    for _, reader, _ in children:
-                        reader.close()
                     os.write(write_fd, pickle.dumps(run(range(w, k, workers))))
                 finally:
                     os._exit(0)  # never return into the caller's stack
             os.close(write_fd)
-            children.append((pid, os.fdopen(read_fd, "rb"), range(w, k, workers)))
+            children.append((pid, os.fdopen(read_fd, "rb")))
         done = run(range(0, k, workers))
-        for _, reader, folds in children:
-            try:
+        for _, reader in children:
+            with contextlib.suppress(Exception):  # no child, or it died or wrote less than all
                 done.update(pickle.loads(reader.read()))
-            except Exception:  # no child, or it died, wrote less than all, or its exception did not pickle
-                done.update(run(folds))
     finally:
-        for pid, reader, _ in children:
+        for pid, reader in children:
             reader.close()
             if pid is not None:  # a child whose pipe reached EOF has nothing left to do
                 import signal  # here, not at module load, where numpy has not imported it: ~1.3 ms
                 with contextlib.suppress(ProcessLookupError, ChildProcessError):  # reaped where SIGCHLD is ignored
                     os.kill(pid, signal.SIGKILL)
                     os.waitpid(pid, 0)
-    for i in range(k):  # each worker stops at its first failure, so the lowest failing fold is met first
-        if isinstance(done[i], Exception):
-            raise done[i]
-    return [done[i] for i in range(k)]
+    return [done[i] if i in done else fold_result(i) for i in range(k)]
 
 
 def cross_validate(
@@ -221,7 +214,7 @@ def cross_validate(
     would refuse (SMOTE targets raised to the fold's counts first) is trained unbalanced and noted
     in the report warnings. Per-fold balancing seeds derive from (seed, fold), so the whole run is
     deterministic given its seed. On Linux, inputs of ``FORK_MIN_ROWS`` rows or more run their
-    folds in min(k, usable CPUs) processes, with the same report.
+    folds in min(k, usable CPUs) processes, with the same report or error.
     """
     folds = stratified_folds(ds, k, seed)
 

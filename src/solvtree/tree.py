@@ -47,7 +47,12 @@ class LearnerParams:
 @dataclass(frozen=True)
 class Leaf:
     class_counts: tuple[int, int, int, int]
-    predicted: SolvencyClass
+    predicted: SolvencyClass  # the first majority class of class_counts
+
+    def __post_init__(self) -> None:
+        majority = _leaf_class(tuple(self.class_counts))
+        if self.predicted != majority:
+            raise ValueError(f"a leaf of counts {self.class_counts} predicts {majority!r}, not {self.predicted!r}")
 
 
 @dataclass(frozen=True)

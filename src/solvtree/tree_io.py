@@ -9,7 +9,7 @@ import math
 from pathlib import Path
 from typing import Iterator
 
-from .dataset import N_CLASSES, _check_schema
+from .dataset import N_CLASSES, _check_schema, _plain_float, _plain_int
 from .tree import LearnerParams, TreeModel, _leaf_class, _link
 
 FORMAT_LINE = "solvtree-tree 1"
@@ -26,20 +26,24 @@ class ModelFormatError(ValueError):
 def serialize(model: TreeModel) -> str:
     """Render a model as text: header lines, then pre-order node lines."""
     p = model.params
-    n, counts = model.training_fingerprint
     lines = [
         FORMAT_LINE,
         f"confidence_factor {p.confidence_factor!r}",
         f"min_leaf {p.min_leaf}",
         f"max_depth {'none' if p.max_depth is None else p.max_depth}",
         "schema " + ",".join(model.schema),
-        f"trained {n} " + ",".join(str(c) for c in counts),
+        "trained " + _trained_text(model.training_fingerprint),
     ]
     tree = model._tree
     # 17 significant digits round-trip any float64 exactly
     lines += (f"split {a} {t:.17g}" if a else "leaf " + " ".join(str(c) for c in leaf_counts)
               for a, t, leaf_counts in zip(tree.attribute, tree.threshold, tree.counts))
     return "\n".join(lines) + "\n"
+
+
+def _trained_text(fingerprint: tuple[int, tuple[int, ...]]) -> str:
+    n, counts = fingerprint
+    return f"{n} " + ",".join(str(c) for c in counts)
 
 
 class _LineReader:
@@ -67,6 +71,13 @@ def _header_value(reader: _LineReader, key: str, convert=str, error: str = ""):
         raise ModelFormatError(error.format(line[len(prefix):]), reader.pos) from None
 
 
+_LEARNER_HEADERS = (  # (key, convert, message for a text that convert refuses)
+    ("confidence_factor", _plain_float, "non-numeric confidence_factor"),
+    ("min_leaf", _plain_int, "non-integer min_leaf"),
+    ("max_depth", lambda v: None if v == "none" else _plain_int(v), "bad max_depth {!r}"),
+)
+
+
 def _read_node_line(reader: _LineReader, schema: tuple[str, ...]) -> tuple[str, float, tuple[int, ...]]:
     """One pre-order node line as an (attribute, threshold, counts) triple; "" is a leaf's attribute."""
     at = reader.pos + 1
@@ -76,7 +87,7 @@ def _read_node_line(reader: _LineReader, schema: tuple[str, ...]) -> tuple[str, 
         if len(parts) != 1 + N_CLASSES:
             raise ModelFormatError(f"leaf line needs {N_CLASSES} counts", at)
         try:
-            counts = tuple(int(p) for p in parts[1:])
+            counts = tuple(_plain_int(p) for p in parts[1:])
         except ValueError:
             raise ModelFormatError(f"non-integer leaf count in {line!r}", at) from None
         if any(c < 0 for c in counts) or sum(counts) < 1:
@@ -88,7 +99,7 @@ def _read_node_line(reader: _LineReader, schema: tuple[str, ...]) -> tuple[str, 
         if parts[1] not in schema:
             raise ModelFormatError(f"split attribute {parts[1]!r} not in schema", at)
         try:
-            threshold = float(parts[2])
+            threshold = _plain_float(parts[2])
         except ValueError:
             raise ModelFormatError(f"non-numeric threshold {parts[2]!r}", at) from None
         if not math.isfinite(threshold):  # grown trees split between finite values only
@@ -103,29 +114,19 @@ def parse(text: str) -> TreeModel:
     first = reader.next("format line")
     if first != FORMAT_LINE:
         raise ModelFormatError(f"unsupported format line {first!r}", 1)
-    cf = _header_value(reader, "confidence_factor", float, "non-numeric confidence_factor")
-    min_leaf = _header_value(reader, "min_leaf", int, "non-integer min_leaf")
-    max_depth = _header_value(reader, "max_depth", lambda v: None if v == "none" else int(v),
-                              "bad max_depth {!r}")
+    learner = {}
+    for key, convert, error in _LEARNER_HEADERS:
+        learner[key] = _header_value(reader, key, convert, error)
+        try:  # the values before this one passed, so an error here is this line's
+            params = LearnerParams(**learner)
+        except ValueError as exc:
+            raise ModelFormatError(str(exc), reader.pos) from None
     schema = tuple(_header_value(reader, "schema").split(","))
     try:
         _check_schema(schema)
     except ValueError as exc:
         raise ModelFormatError(str(exc), reader.pos) from None
-    trained = _header_value(reader, "trained").split()
-    if len(trained) != 2:
-        raise ModelFormatError("'trained' header must be '<n> <c,c,c,c>'", reader.pos)
-    try:
-        n_trained = int(trained[0])
-        counts = tuple(int(c) for c in trained[1].split(","))
-    except ValueError:
-        raise ModelFormatError("non-integer training fingerprint", reader.pos) from None
-    if len(counts) != N_CLASSES:
-        raise ModelFormatError(f"training fingerprint needs {N_CLASSES} counts", reader.pos)
-    try:
-        params = LearnerParams(cf, min_leaf, max_depth)
-    except ValueError as exc:
-        raise ModelFormatError(str(exc), reader.pos) from None
+    trained, trained_at = _header_value(reader, "trained"), reader.pos
     # node lines are read until the tree is complete; the reader raises at the end of the text
     nodes, unread = [], 1  # subtrees whose first line is still to come
     while unread:
@@ -133,7 +134,11 @@ def parse(text: str) -> TreeModel:
         unread += 1 if nodes[-1][0] else -1
     if reader.pos != len(reader.lines):
         raise ModelFormatError("trailing content after the tree", reader.pos + 1)
-    return TreeModel(_link(nodes), params, schema, (n_trained, counts))
+    tree = _link(nodes)
+    fingerprint = (sum(tree.counts[0]), tree.counts[0])
+    if trained != _trained_text(fingerprint):  # as serialize writes the root's total and counts
+        raise ModelFormatError(f"'trained' header must read {_trained_text(fingerprint)!r}", trained_at)
+    return TreeModel(tree, params, schema, fingerprint)
 
 
 def _leaf_text(counts: tuple[int, ...]) -> str:

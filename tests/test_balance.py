@@ -146,6 +146,8 @@ class TestResample:
             resample(ds, -0.1, 100.0, seed=0)
         with pytest.raises(ValueError):
             resample(ds, 0.5, 0.0, seed=0)
+        with pytest.raises(ValueError, match="cannot resample an empty dataset"):
+            resample(ds.take([]), 0.5, 100.0, seed=0)
 
 
 class TestSmote:

@@ -946,6 +946,11 @@ class TestExitCodes:
         assert code == 2
         assert "not found" in err
 
+    def test_missing_config_file(self, tmp_path, capsys):
+        code, out, err = _run(capsys, "label", "--config", str(tmp_path / "absent.json"))
+        assert (code, out) == (2, "")
+        assert "config file not found" in err
+
     def test_no_input_anywhere(self, capsys):
         code, _, err = _run(capsys, "label")
         assert code == 2
@@ -969,6 +974,17 @@ class TestExitCodes:
         for value in ("x", "٥", "５", "1_0"):
             code, out, err = _run(capsys, *argv, spell(value))
             assert (code, out) == (2, "") and argv[-1] in err, value
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--counts", "1,1,1,1", "--separation"],
+        ["train", "--cf"],
+        ["balance", "--mode", "resample", "--bias"],
+        ["balance", "--mode", "resample", "--percent"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-1]}")
+    def test_float_flags_take_ascii_numbers_only(self, argv, capsys):
+        for value in ("x", "٥", "５", "1_0", "٠.٢٥"):
+            code, out, err = _run(capsys, *argv, value)
+            assert (code, out) == (2, "") and f"argument {argv[-1]}: invalid float value" in err, value
 
     def test_overflowing_car_is_a_data_error_naming_its_cell(self, tmp_path, capsys):
         src = tmp_path / "raw.csv"

@@ -94,6 +94,11 @@ class TestCompanyRecord:
         with pytest.raises(ValueError):
             CompanyRecord("A", 2001, None, None, 150.0, values)
 
+    @pytest.mark.parametrize("car", [math.nan, math.inf, -math.inf])
+    def test_non_finite_car_rejected(self, car):
+        with pytest.raises(ValueError, match="car is not finite"):
+            CompanyRecord("A", 2001, None, None, car, (0.0,) * 11)
+
     def test_synthetic_marker(self):
         rec = CompanyRecord(None, None, None, None, 150.0, (0.0,) * 11)
         assert rec.is_synthetic
@@ -148,6 +153,19 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError) as exc_info:
             load_csv(_csv([f"A,2001,,,abc,{ELEVEN}"]))
         assert exc_info.value.column == "car"
+
+    def test_empty_file_names_row_one(self):
+        with pytest.raises(CsvFormatError, match="empty file, expected a header row") as exc_info:
+            load_csv(io.StringIO(""))
+        assert exc_info.value.row == 1
+
+    def test_partially_labeled_dataset_is_not_written(self):
+        from dataclasses import replace
+
+        ds = generate(GeneratorSpec((1, 1, 1, 1), seed=0))
+        mixed = Dataset((replace(ds.records[0], label=None), *ds.records[1:]), ds.schema)
+        with pytest.raises(ValueError, match="cannot write a partially labeled dataset"):
+            write_csv(mixed, io.StringIO())
 
     def test_missing_column_rejected(self):
         text = io.StringIO("company_id,year,tca,tcr,car,V1\nA,2001,,,160.0,0.5\n")

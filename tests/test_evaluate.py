@@ -4,6 +4,7 @@ import math
 import os
 import signal
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,14 @@ class TestMetrics:
             mae([[0.5, 0.5, 0.0, 0.0]], [0, 1])
         with pytest.raises(ValueError):
             mae([[0.9, 0.0, 0.0, 0.0]], [0])  # sums to 0.9
+        with pytest.raises(ValueError, match="must be a \\(n, n_classes\\) array"):
+            mae([0.25, 0.25, 0.25, 0.25], [0])
+        with pytest.raises(ValueError, match="length mismatch: 1 predictions vs 2 labels"):
+            rmse([[0.25, 0.25, 0.25, 0.25]], [0, 1])
+        with pytest.raises(ValueError, match="actual and predicted lengths differ"):
+            report_from_predictions([0, 1], [0], [[1.0, 0.0, 0.0, 0.0]] * 2)
+        with pytest.raises(ValueError, match="confusion matrix must be 4x4"):
+            evaluate.ConfusionMatrix(((1, 0, 0, 0),) * 3)
 
 
     def test_labels_as_classes_or_indices(self):
@@ -272,7 +281,7 @@ class TestForkedFolds:
     @pytest.mark.parametrize("picklable", [True, False])
     def test_a_failing_fold_raises_what_the_serial_loop_raises(self, monkeypatch, failing, picklable):
         # 3 workers: folds 0, 3, 6, 9 run here, 1, 4, 7 and 2, 5, 8 in two children; an
-        # exception class local to this test cannot be pickled, so that child sends nothing back
+        # exception class local to this test cannot be pickled, which no path may depend on
         class Unpicklable(ValueError):
             pass
 
@@ -293,6 +302,44 @@ class TestForkedFolds:
             raised[cpus] = (exc_info.type, str(exc_info.value))
             _assert_no_child_left()
         assert raised[3] == raised[1] == (error, f"fold {min(failing)} failed")
+
+    def test_a_childs_failing_fold_raises_here_with_its_traceback(self, monkeypatch):
+        real = evaluate._balanced_training
+
+        def balanced_training(train, balance, seed, fold):
+            if fold == 1:  # a fold of the first child among 3 workers
+                raise ValueError("fold 1 failed")
+            return real(train, balance, seed, fold)
+
+        monkeypatch.setattr(evaluate, "_balanced_training", balanced_training)
+        _cpus(monkeypatch, 3)
+        forks = _count_forks(monkeypatch)
+        with pytest.raises(ValueError, match="fold 1 failed") as exc_info:
+            cross_validate(_FORKED, 10, LearnerParams(), _SMOTE_TO, seed=4)
+        assert len(forks) == 2
+        assert "balanced_training" in [entry.name for entry in exc_info.traceback]
+        _assert_no_child_left()
+
+    def test_python_3_12_fork_warning_beside_threads_is_silenced(self, monkeypatch):
+        # Python >= 3.12 warns at each fork while numpy's OpenBLAS pool has threads
+        _cpus(monkeypatch, 1)
+        serial = cross_validate(_FORKED, 10, seed=4)
+        _cpus(monkeypatch, 3)
+        forks, real_fork = [], os.fork
+
+        def fork():
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead "
+                          "to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            forks.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("error", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning)
+            forked = cross_validate(_FORKED, 10, seed=4)
+        assert forks == [os.getpid()] * 2
+        assert summary_lines(forked) == summary_lines(serial)
+        _assert_no_child_left()
 
     def test_no_fork_below_the_row_gate_or_beside_a_thread(self, monkeypatch):
         _cpus(monkeypatch, 3)
@@ -369,6 +416,11 @@ class TestEvaluateOn:
         unlabeled = Dataset(tuple(replace(r, label=None) for r in ds.records), ds.schema)
         with pytest.raises(ValueError, match="unlabeled"):
             evaluate_on(model, unlabeled)
+
+    def test_empty_test_set_rejected(self):
+        ds = generate(GeneratorSpec((3, 3, 3, 3), seed=0))
+        with pytest.raises(ValueError, match="test set is empty"):
+            evaluate_on(grow(ds), ds.take([]))
 
 
 class TestReportRendering:

@@ -108,6 +108,8 @@ class TestDiscretize:
         ds = make_dataset([(0.0,)], [0])
         with pytest.raises(ValueError):
             discretize(ds, n_bins=1)
+        with pytest.raises(ValueError, match="cannot discretize an empty dataset"):
+            discretize(ds.take([]))
 
 
 class TestSymmetricUncertainty:

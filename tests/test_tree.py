@@ -152,6 +152,14 @@ class TestPessimisticError:
             pessimistic_error(0, 0, 0.25)
 
 
+class TestLeaf:
+    def test_predicted_class_is_the_first_majority(self):
+        assert Leaf((3, 3, 0, 0), SolvencyClass.INSOLVENCY).predicted is SolvencyClass.INSOLVENCY
+        for counts, predicted in [((1, 5, 0, 0), SolvencyClass.STRONG), ((3, 3, 0, 0), SolvencyClass.WEAK)]:
+            with pytest.raises(ValueError, match="predicts"):
+                Leaf(counts, predicted)
+
+
 class TestBestSplit:
     def test_pure_node(self):
         assert best_split([[1.0], [2.0]], [3, 3]) is None

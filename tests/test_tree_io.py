@@ -127,6 +127,39 @@ class TestParseErrors:
             parse(text)
         assert exc_info.value.line == 5
 
+    # a two-leaf model whose root counts are 5,5,5,5; each case replaces one of its lines
+    _SMALL = ("solvtree-tree 1\nconfidence_factor 0.25\nmin_leaf 2\nmax_depth none\nschema V1,V2\n"
+              "trained 20 5,5,5,5\nsplit V1 1.5\nleaf 5 0 0 0\nleaf 0 5 5 5\n")
+
+    @pytest.mark.parametrize("line, text, message", [
+        (2, "confidence_factor 0.2_5", "non-numeric confidence_factor"),
+        (2, "confidence_factor 0.9", "confidence_factor must be in"),
+        (3, "min_leaf ٢", "non-integer min_leaf"),
+        (3, "min_leaf 2_0", "non-integer min_leaf"),
+        (3, "min_leaf 0", "min_leaf must be >= 1"),
+        (4, "max_depth -1", "max_depth must be >= 0"),
+        (4, "max_depth ４", "bad max_depth"),
+        (6, "trained 7 -1,0,0,99", "'trained' header must read '20 5,5,5,5'"),
+        (6, "trained 20", "'trained' header must read"),
+        (6, "trained 20 5,5,5,x", "'trained' header must read"),
+        (6, "trained 20 5,5,5", "'trained' header must read"),
+        (6, "trained 2_0 5,5,5,5", "'trained' header must read"),
+        (7, "split V1", "split line must be"),
+        (7, "split V3 1.5", "split attribute 'V3' not in schema"),
+        (7, "split V1 x", "non-numeric threshold"),
+        (7, "split V1 1_5", "non-numeric threshold"),
+        (8, "leaf 5 0 0", "leaf line needs 4 counts"),
+        (8, "leaf 5_0 0 0 0", "non-integer leaf count"),
+        (8, "leaf ５ 0 0 0", "non-integer leaf count"),
+    ])
+    def test_bad_line_names_its_line(self, line, text, message):
+        assert parse(self._SMALL).training_fingerprint == (20, (5, 5, 5, 5))
+        lines = self._SMALL.splitlines()
+        lines[line - 1] = text
+        with pytest.raises(ModelFormatError, match=re.escape(message)) as exc_info:
+            parse("\n".join(lines))
+        assert exc_info.value.line == line
+
     def test_bad_counts(self):
         model = TreeModel(
             Leaf((1, 0, 0, 0), SolvencyClass.INSOLVENCY), LearnerParams(), ("V1",), (1, (1, 0, 0, 0))
