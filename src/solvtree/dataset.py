@@ -13,12 +13,12 @@ import io
 import math
 import re
 from array import array
-from contextlib import nullcontext
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -350,13 +350,21 @@ class CsvFormatError(ValueError):
         super().__init__(f"{message}{where}")
 
 
-def _open_text(source) -> IO[str]:
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return io.StringIO(data)
-    return open(Path(source), "r", encoding="utf-8", newline="")
+@contextmanager
+def _open_text(source) -> Iterator[IO[str]]:
+    """A path or a file object as text that is decoded as it is read: a binary stream as
+    UTF-8, a text stream as it is. A caller's stream is left open."""
+    if not hasattr(source, "read"):
+        with open(Path(source), "r", encoding="utf-8", newline="") as fh:
+            yield fh
+    elif isinstance(source.read(0), bytes):
+        fh = io.TextIOWrapper(source, encoding="utf-8", newline="")
+        try:
+            yield fh
+        finally:
+            fh.detach()  # closing the wrapper would close the caller's stream
+    else:
+        yield source
 
 
 def _csv_rows(source):
@@ -483,7 +491,7 @@ def _row(cells: Sequence[str], row: int, has_class: bool):
 
 
 def load_csv(source, expect_labels: bool = False, allow_duplicates: bool = False) -> Dataset:
-    """Read the dataset CSV format.
+    """Read the dataset CSV format from a path or an open file, binary (read as UTF-8) or text.
 
     Header (exact names): company_id,year,tca,tcr,car,V1..V11 and optionally
     class. Every row must supply car or the tca/tcr pair; car is recomputed
@@ -499,30 +507,30 @@ def load_csv(source, expect_labels: bool = False, allow_duplicates: bool = False
 
     Raises :class:`CsvFormatError` naming the offending row and column.
     """
-    rows = _csv_rows(source)
-    _, header = next(rows, (1, None))
-    if header is None:
-        raise CsvFormatError("empty file, expected a header row", row=1)
-    base = list(CSV_BASE_COLUMNS)
-    if [h.strip() for h in header] not in (base, base + ["class"]):
-        raise CsvFormatError(
-            "header must be company_id,year,tca,tcr,car,V1..V11 optionally followed by class",
-            row=1,
-        )
-    has_class = len(header) > len(base)
+    with closing(_csv_rows(source)) as rows:  # closed at a fault too, which lets go of a caller's stream
+        _, header = next(rows, (1, None))
+        if header is None:
+            raise CsvFormatError("empty file, expected a header row", row=1)
+        base = list(CSV_BASE_COLUMNS)
+        if [h.strip() for h in header] not in (base, base + ["class"]):
+            raise CsvFormatError(
+                "header must be company_id,year,tca,tcr,car,V1..V11 optionally followed by class",
+                row=1,
+            )
+        has_class = len(header) > len(base)
 
-    heads, labels, values = [], [], array("d")  # heads: (company_id, year, tca, tcr, car) per row
-    seen: set[tuple[str, int]] = set()
-    for row_no, cells in rows:
-        head, row_values, label = _row(cells, row_no, has_class)
-        key = head[:2]  # (company_id, year)
-        if key[0] is not None and not allow_duplicates:
-            if key in seen:
-                raise CsvFormatError(f"duplicate company_id/year pair {key!r}", row=row_no)
-            seen.add(key)
-        heads.append(head)
-        values.extend(row_values)
-        labels.append(label)
+        heads, labels, values = [], [], array("d")  # heads: (company_id, year, tca, tcr, car) per row
+        seen: set[tuple[str, int]] = set()
+        for row_no, cells in rows:
+            head, row_values, label = _row(cells, row_no, has_class)
+            key = head[:2]  # (company_id, year)
+            if key[0] is not None and not allow_duplicates:
+                if key in seen:
+                    raise CsvFormatError(f"duplicate company_id/year pair {key!r}", row=row_no)
+                seen.add(key)
+            heads.append(head)
+            values.extend(row_values)
+            labels.append(label)
     ids, years, tcas, tcrs, cars = zip(*heads) if heads else [()] * 5
     car_column = np.array(cars, dtype=float)
     if not has_class:

@@ -7,17 +7,13 @@ instance contributes one residual per class against its one-hot label.
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-import pickle
-import threading
-import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
+from ._fork import FORK_MIN_ROWS, _map_folds, _workers
 from .balance import BalanceTargets, _apply, _short_classes
 from .dataset import CLASS_ALPHABET, N_CLASSES, Dataset, SolvencyClass, class_distribution
 from .dataset import _check_int, _shuffled_classes
@@ -137,7 +133,6 @@ def _fold_seed(seed: int, fold: int) -> int:
     return int(np.random.SeedSequence(entropy=[seed, fold]).generate_state(1)[0])
 
 
-FORK_MIN_ROWS = 256  # cross_validate forks from this many rows; a fork and its reaping cost ~2 folds on 200 rows
 _SKIPPED = {
     "resample": "absent from the training portion; resampling skipped",
     "smote": "has fewer than 2 training members; oversampling skipped",
@@ -155,51 +150,6 @@ def _balanced_training(train: Dataset, balance: BalanceTargets, seed: int, fold:
     return _apply(train, balance, seed), []
 
 
-def _map_folds(fold_result, k: int, workers: int) -> list:
-    """``[fold_result(i) for i in range(k)]``, fold i tried first by worker i % workers: 0 is this process,
-    others forked. Every fold left without a result (unforked or dead child, short pipe, an exception)
-    runs again here in index order, so the lowest failing fold raises here, as the serial loop would."""
-    def run(folds) -> dict:  # results by fold up to the first that raises, which is dropped
-        done = {}
-        with contextlib.suppress(Exception):
-            for i in folds:
-                done[i] = fold_result(i)
-        return done
-
-    children = []  # (pid or None, reader of the pipe that brings its pickled results)
-    try:
-        for w in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            try:
-                with warnings.catch_warnings():  # Python >= 3.12 warns of numpy's OpenBLAS threads, but
-                    # solvtree makes no BLAS call and OpenBLAS rebuilds its pool in the child
-                    warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning)
-                    pid = os.fork()
-            except OSError:
-                pid = None  # its pipe reads empty
-            if pid == 0:
-                try:
-                    os.close(read_fd)
-                    os.write(write_fd, pickle.dumps(run(range(w, k, workers))))
-                finally:
-                    os._exit(0)  # never return into the caller's stack
-            os.close(write_fd)
-            children.append((pid, os.fdopen(read_fd, "rb")))
-        done = run(range(0, k, workers))
-        for _, reader in children:
-            with contextlib.suppress(Exception):  # no child, or it died or wrote less than all
-                done.update(pickle.loads(reader.read()))
-    finally:
-        for pid, reader in children:
-            reader.close()
-            if pid is not None:  # a child whose pipe reached EOF has nothing left to do
-                import signal  # here, not at module load, where numpy has not imported it: ~1.3 ms
-                with contextlib.suppress(ProcessLookupError, ChildProcessError):  # reaped where SIGCHLD is ignored
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-    return [done[i] if i in done else fold_result(i) for i in range(k)]
-
-
 def cross_validate(
     ds: Dataset,
     k: int,
@@ -214,7 +164,8 @@ def cross_validate(
     would refuse (SMOTE targets raised to the fold's counts first) is trained unbalanced and noted
     in the report warnings. Per-fold balancing seeds derive from (seed, fold), so the whole run is
     deterministic given its seed. On Linux, inputs of ``FORK_MIN_ROWS`` rows or more run their
-    folds in min(k, usable CPUs) processes, with the same report or error.
+    folds in min(k, usable CPUs) processes, with the same report or error; the trees grown
+    for the folds do not fork again.
     """
     folds = stratified_folds(ds, k, seed)
 
@@ -224,8 +175,7 @@ def cross_validate(
             train, notes = _balanced_training(train, balance, _fold_seed(seed, i), i)
         return _route(grow(train, params), ds.values[folds[i]]), notes
 
-    forkable = hasattr(os, "sched_getaffinity") and threading.active_count() == 1 and len(ds) >= FORK_MIN_ROWS
-    routed, notes = zip(*_map_folds(fold_result, k, min(k, len(os.sched_getaffinity(0))) if forkable else 1))
+    routed, notes = zip(*_map_folds(fold_result, k, min(k, _workers(len(ds)))))
     predicted, probs = map(np.concatenate, zip(*routed))
     return report_from_predictions(ds.label_indices()[np.concatenate(folds)], predicted, probs, sum(notes, []))
 

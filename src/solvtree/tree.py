@@ -19,6 +19,7 @@ import numpy as np
 
 from .dataset import CLASS_ALPHABET, N_CLASSES, CompanyRecord, Dataset, SolvencyClass
 from .dataset import _check_int, _real, _sum_in_order, attribute_column
+from ._fork import _map_folds, _workers
 
 # Score comparisons treat differences within this slack as ties so exact
 # mathematical ties are not broken by rounding noise.
@@ -233,24 +234,44 @@ def best_split(values, labels, params: LearnerParams = LearnerParams()) -> Split
     return SplitCandidate(a, float(threshold), float(gains[k]), float(ratio[best]))
 
 
-def grow_unpruned(ds: Dataset, params: LearnerParams = LearnerParams()) -> TreeModel:
-    """Growth only; exposed so pruning effects can be inspected."""
-    if len(ds) == 0:
-        raise ValueError("cannot grow a tree on an empty dataset")
-    X, y = ds.matrix(), ds.label_indices()
-    nodes, stack = [], [(np.arange(len(y)), 0)]
+_FORK_DEPTH = 3  # growth maps the subtrees still open at this depth: at most 8
+
+
+def _grow_nodes(X, y, schema, params: LearnerParams, rows, depth: int, stop: int | None) -> list:
+    """Pre-order (attribute, threshold, counts) triples of the subtree grown on ``rows`` from ``depth``,
+    with a placeholder (None, rows, depth) for each node at depth ``stop`` that is neither pure nor at
+    ``params.max_depth``."""
+    nodes, stack = [], [(rows, depth)]
     while stack:
         rows, depth = stack.pop()
         counts = np.bincount(y[rows], minlength=N_CLASSES)
         open_node = counts.max() < rows.size and (params.max_depth is None or depth < params.max_depth)
+        if open_node and depth == stop:
+            nodes.append((None, rows, depth))
+            continue
         cand = best_split(X[rows], y[rows], params) if open_node else None
         if cand is None:
             nodes.append(("", 0.0, tuple(counts.tolist())))
             continue
-        nodes.append((ds.schema[cand.attribute_index], cand.threshold, ()))
+        nodes.append((schema[cand.attribute_index], cand.threshold, ()))
         left = X[rows, cand.attribute_index] <= cand.threshold
         stack += ((rows[~left], depth + 1), (rows[left], depth + 1))
-    tree = _link(nodes)
+    return nodes
+
+
+def grow_unpruned(ds: Dataset, params: LearnerParams = LearnerParams()) -> TreeModel:
+    """Growth only; exposed so pruning effects can be inspected."""
+    if len(ds) == 0:
+        raise ValueError("cannot grow a tree on an empty dataset")
+    grow_nodes = partial(_grow_nodes, ds.matrix(), ds.label_indices(), ds.schema, params)
+    top = grow_nodes(np.arange(len(ds)), 0, _FORK_DEPTH)
+    # the open subtrees, largest first, so that dealing them round-robin spreads the rows evenly;
+    # one process or several, the same calls run in the same order, so the same tree or error results
+    frontier = sorted((i for i, node in enumerate(top) if node[0] is None), key=lambda i: -top[i][1].size)
+    workers = max(1, min(_workers(len(ds)), len(frontier)))
+    subtrees = _map_folds(lambda j: grow_nodes(*top[frontier[j]][1:], None), len(frontier), workers)
+    grown = dict(zip(frontier, subtrees))
+    tree = _link([grown_node for i, node in enumerate(top) for grown_node in grown.get(i, [node])])
     return TreeModel(tree, params, ds.schema, (len(ds), tree.counts[0]))
 
 
@@ -262,6 +283,9 @@ def grow(ds: Dataset, params: LearnerParams = LearnerParams()) -> TreeModel:
     pre-order, and scores each node's splits in one pass of :func:`best_split`.
     A node becomes a leaf when it is pure, when no admissible split exists,
     or at ``params.max_depth``. Every leaf keeps its training class counts.
+    On Linux, a tree of ``FORK_MIN_ROWS`` rows or more, grown outside another
+    forked map such as cross-validation's, grows its top levels here and the
+    subtrees left open below them in up to usable-CPU processes: the same tree.
     """
     model = grow_unpruned(ds, params)
     return replace(model, _tree=_prune(model._tree, params.confidence_factor))

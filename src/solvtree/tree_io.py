@@ -32,18 +32,13 @@ def serialize(model: TreeModel) -> str:
         f"min_leaf {p.min_leaf}",
         f"max_depth {'none' if p.max_depth is None else p.max_depth}",
         "schema " + ",".join(model.schema),
-        "trained " + _trained_text(model.training_fingerprint),
+        f"trained {model.training_fingerprint[0]} " + ",".join(str(c) for c in model.training_fingerprint[1]),
     ]
     tree = model._tree
     # 17 significant digits round-trip any float64 exactly
     lines += (f"split {a} {t:.17g}" if a else "leaf " + " ".join(str(c) for c in leaf_counts)
               for a, t, leaf_counts in zip(tree.attribute, tree.threshold, tree.counts))
     return "\n".join(lines) + "\n"
-
-
-def _trained_text(fingerprint: tuple[int, tuple[int, ...]]) -> str:
-    n, counts = fingerprint
-    return f"{n} " + ",".join(str(c) for c in counts)
 
 
 class _LineReader:
@@ -109,7 +104,8 @@ def _read_node_line(reader: _LineReader, schema: tuple[str, ...]) -> tuple[str, 
 
 
 def parse(text: str) -> TreeModel:
-    """Inverse of :func:`serialize`; raises ModelFormatError with the line number."""
+    """Inverse of :func:`serialize`, whose text alone loads (with ``\\n`` or ``\\r\\n`` line ends);
+    raises ModelFormatError with the line number."""
     reader = _LineReader(text)
     first = reader.next("format line")
     if first != FORMAT_LINE:
@@ -126,7 +122,7 @@ def parse(text: str) -> TreeModel:
         _check_schema(schema)
     except ValueError as exc:
         raise ModelFormatError(str(exc), reader.pos) from None
-    trained, trained_at = _header_value(reader, "trained"), reader.pos
+    _header_value(reader, "trained")  # checked with every other line once the root's counts are known
     # node lines are read until the tree is complete; the reader raises at the end of the text
     nodes, unread = [], 1  # subtrees whose first line is still to come
     while unread:
@@ -135,10 +131,13 @@ def parse(text: str) -> TreeModel:
     if reader.pos != len(reader.lines):
         raise ModelFormatError("trailing content after the tree", reader.pos + 1)
     tree = _link(nodes)
-    fingerprint = (sum(tree.counts[0]), tree.counts[0])
-    if trained != _trained_text(fingerprint):  # as serialize writes the root's total and counts
-        raise ModelFormatError(f"'trained' header must read {_trained_text(fingerprint)!r}", trained_at)
-    return TreeModel(tree, params, schema, fingerprint)
+    model = TreeModel(tree, params, schema, (sum(tree.counts[0]), tree.counts[0]))
+    for at, (line, expected) in enumerate(zip(reader.lines, serialize(model).splitlines()), 1):
+        if line != expected:  # each model has one text: serialize's
+            key, _, value = expected.partition(" ")
+            kind = "line" if key in ("split", "leaf") else "header"
+            raise ModelFormatError(f"'{key}' {kind} must read {value!r}", at)
+    return model
 
 
 def _leaf_text(counts: tuple[int, ...]) -> str:

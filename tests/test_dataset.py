@@ -4,6 +4,7 @@ import io
 import math
 import operator
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,6 +243,39 @@ class TestLoadCsv:
         for source in (path, io.BytesIO(data)):
             with pytest.raises(CsvFormatError, match="UTF-8"):
                 load_csv(source)
+
+    def test_a_bad_row_read_before_the_bad_bytes_wins(self, tmp_path):
+        # text is decoded as it is read, 8 KiB at a time, for a path and a file object alike,
+        # so a bad row at least a chunk before undecodable bytes is the fault reported
+        rows = [f"A,2001,,,160.0,{ELEVEN}", f"B,2001,,,x,{ELEVEN}"]
+        rows += [f"C{i},2001,,,160.0,{ELEVEN}" for i in range(2000)] + ["\udcff"]
+        data = _csv(rows).getvalue().encode("utf-8", "surrogateescape")
+        assert data.index(b"\xff") > 65536
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        for source in (path, io.BytesIO(data)):
+            with pytest.raises(CsvFormatError) as exc_info:
+                load_csv(source)
+            assert (exc_info.value.row, exc_info.value.column) == (3, "car")
+        assert not source.closed
+
+    @pytest.mark.parametrize("wrap", [io.BytesIO, lambda data: io.StringIO(data.decode())])
+    def test_a_file_object_streams_as_a_path_does(self, tmp_path, wrap):
+        ds = generate(GeneratorSpec((500, 500, 500, 500), seed=1))
+        path = tmp_path / "rows.csv"
+        write_csv(ds, path)
+        peaks = []
+        for source in (path, wrap(path.read_bytes())):
+            tracemalloc.start()
+            try:
+                loaded = load_csv(source)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert _dump(loaded) == _dump(ds)
+        # a copy of the whole text would more than double the peak
+        assert peaks[1] < 1.25 * peaks[0]
+        assert not source.closed
 
 
     @pytest.mark.parametrize("expect_labels", [False, True])

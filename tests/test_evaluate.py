@@ -31,6 +31,7 @@ from solvtree import (
 
 from solvtree import evaluate
 
+from forks import _assert_no_child_left, _count_forks, _cpus
 from oracles import make_dataset
 
 
@@ -227,27 +228,6 @@ class TestCrossValidate:
                 assert warned == refused, (counts, balance)
                 outcomes.add(bool(refused))
         assert outcomes == {True, False}
-
-
-def _cpus(monkeypatch, n: int) -> None:
-    """Let cross_validate see n usable CPUs, so it runs min(k, n) workers on any machine."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-def _count_forks(monkeypatch) -> list:
-    forks, real_fork = [], os.fork
-
-    def fork():
-        forks.append(os.getpid())
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork)
-    return forks
-
-
-def _assert_no_child_left() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 # 306 rows, at least FORK_MIN_ROWS: two insolvency records, so with k = 10 the two folds holding

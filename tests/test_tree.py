@@ -1,7 +1,9 @@
+import errno
 import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +41,9 @@ from solvtree import (
     stratified_split,
 )
 
+from solvtree._fork import FORK_MIN_ROWS
+
+from forks import _assert_no_child_left, _count_forks, _cpus
 from oracles import (
     make_dataset,
     oracle_best_split,
@@ -430,6 +435,131 @@ class TestGrow:
         assert node_count(model.root) > 2000
         classes, _ = solvtree.tree._route(model, [r.values for r in ds.records])
         assert (classes == ds.label_indices()).all()
+
+
+# hard-fit's shape at a quarter of its rows: four balanced classes at separation 1.0 grow a
+# ~140-node tree whose top three levels leave four or five subtrees open
+_DEEP = generate(GeneratorSpec((150, 150, 150, 150), separation=1.0, seed=1))
+
+
+def _frontier(ds, params=LearnerParams()) -> list:
+    """Row indices of the subtrees that growth leaves open below the top it grows in the caller,
+    largest first, the order in which they are dealt to workers."""
+    top = solvtree.tree._grow_nodes(ds.matrix(), ds.label_indices(), ds.schema, params,
+                                    np.arange(len(ds)), 0, solvtree.tree._FORK_DEPTH)
+    return sorted((node[1] for node in top if node[0] is None), key=len, reverse=True)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="subtrees grow in forked workers on Linux only")
+class TestForkedGrowth:
+    @pytest.mark.parametrize("params", [
+        *(LearnerParams(min_leaf=m) for m in (1, 2, 5)),
+        *(LearnerParams(max_depth=d) for d in (0, 2, 3, 4)),
+    ], ids=["min_leaf=1", "min_leaf=2", "min_leaf=5", "max_depth=0", "max_depth=2", "max_depth=3", "max_depth=4"])
+    def test_model_text_matches_the_serial_run(self, monkeypatch, params):
+        _cpus(monkeypatch, 1)
+        serial = [serialize(fit(_DEEP, params)) for fit in (grow_unpruned, grow)]
+        _cpus(monkeypatch, 3)
+        forks = _count_forks(monkeypatch)
+        assert [serialize(fit(_DEEP, params)) for fit in (grow_unpruned, grow)] == serial
+        # a node at max_depth is a leaf, so a tree stopped at or above the frontier maps nothing
+        opened = params.max_depth is None or params.max_depth > solvtree.tree._FORK_DEPTH
+        assert len(_frontier(_DEEP, params)) >= (3 if opened else 0)
+        assert forks == ([os.getpid()] * 4 if opened else [])
+        _assert_no_child_left()
+
+    def test_no_fork_for_a_frontier_of_one_subtree_or_none(self, monkeypatch):
+        one = generate(GeneratorSpec((80, 80, 80, 80), separation=4.0, seed=0))
+        none = generate(GeneratorSpec((100, 100, 100, 100), separation=6.0, seed=1))
+        assert [len(_frontier(ds)) for ds in (one, none)] == [1, 0]
+        _cpus(monkeypatch, 1)
+        serial = [serialize(grow(ds)) for ds in (one, none)]
+        _cpus(monkeypatch, 3)
+        forks = _count_forks(monkeypatch)
+        assert [serialize(grow(ds)) for ds in (one, none)] == serial
+        assert forks == []
+
+    def test_no_fork_below_the_row_gate_or_beside_a_thread(self, monkeypatch):
+        small = generate(GeneratorSpec((63, 64, 64, 64), separation=1.0, seed=1))
+        assert len(small) == FORK_MIN_ROWS - 1 and len(_frontier(small)) >= 3
+        _cpus(monkeypatch, 3)
+        forks = _count_forks(monkeypatch)
+        grow(small)
+        assert forks == []
+        released = threading.Event()
+        thread = threading.Thread(target=released.wait)
+        thread.start()
+        try:
+            grow(_DEEP)
+        finally:
+            released.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        grow(_DEEP)
+        assert len(forks) == 2
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("failing", [[1], [2, 4]])
+    def test_a_failing_subtree_raises_the_serial_error_here(self, monkeypatch, tmp_path, failing):
+        # 3 workers: subtrees 0 and 3 (largest first) grow here, 1 and 4 in one child, 2 in another;
+        # best_split fails at the root of each failing subtree and logs the process it failed in
+        frontier = _frontier(_DEEP)
+        keys = {_DEEP.matrix()[frontier[i]].tobytes(): i for i in failing}
+        real, log = solvtree.tree.best_split, tmp_path / "failed"
+
+        def best_split(values, labels, params):
+            if values.tobytes() in keys:
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write(f"{os.getpid()}\n")
+                raise ValueError(f"subtree {keys[values.tobytes()]} failed")
+            return real(values, labels, params)
+
+        monkeypatch.setattr(solvtree.tree, "best_split", best_split)
+        raised = {}
+        for cpus in (1, 3):
+            log.unlink(missing_ok=True)
+            _cpus(monkeypatch, cpus)
+            forks = _count_forks(monkeypatch)
+            with pytest.raises(ValueError) as exc_info:
+                grow(_DEEP)
+            raised[cpus] = str(exc_info.value)
+            assert len(forks) == cpus - 1
+            assert "best_split" in [entry.name for entry in exc_info.traceback]
+            _assert_no_child_left()
+        # at 3 CPUs the lowest failing subtree failed first in a child, then again here
+        assert log.read_text(encoding="utf-8").split()[-1] == str(os.getpid())
+        assert str(os.getpid()) != log.read_text(encoding="utf-8").split()[0]
+        assert raised[3] == raised[1] == f"subtree {failing[0]} failed"
+
+    def test_subtrees_grow_here_when_fork_fails(self, monkeypatch):
+        _cpus(monkeypatch, 1)
+        serial = serialize(grow(_DEEP))
+        _cpus(monkeypatch, 3)
+
+        def fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert serialize(grow(_DEEP)) == serial
+
+    def test_cross_validate_forks_only_its_fold_workers(self, monkeypatch, tmp_path):
+        # forks are logged to a file, so a fork in a child, such as a fold's growth, is counted too
+        log, real_fork = tmp_path / "forks", os.fork
+
+        def fork():
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real_fork()
+
+        _cpus(monkeypatch, 1)
+        serial = cross_validate(_DEEP, 10, seed=3)
+        _cpus(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", fork)
+        assert cross_validate(_DEEP, 10, seed=3) == serial
+        assert log.read_text(encoding="utf-8").split() == [str(os.getpid())] * 2
+        _assert_no_child_left()
+
 
 class TestPrune:
     def test_same_majority_children_collapse(self):

@@ -72,6 +72,10 @@ class TestRoundTrip:
         model = grow(make_dataset(rows, labels), LearnerParams(min_leaf=min_leaf))
         assert parse(serialize(model)) == model
 
+    def test_crlf_line_ends_load(self):
+        model = _random_model(np.random.default_rng(5))
+        assert parse(serialize(model).replace("\n", "\r\n")) == model
+
     def test_file_round_trip(self, tmp_path):
         model = _random_model(np.random.default_rng(5))
         path = tmp_path / "model.tree"
@@ -151,6 +155,13 @@ class TestParseErrors:
         (8, "leaf 5 0 0", "leaf line needs 4 counts"),
         (8, "leaf 5_0 0 0 0", "non-integer leaf count"),
         (8, "leaf ５ 0 0 0", "non-integer leaf count"),
+        # numbers that read back as the model's own but are not spelled as serialize spells them
+        (2, "confidence_factor 0.250", "'confidence_factor' header must read '0.25'"),
+        (3, "min_leaf +2", "'min_leaf' header must read '2'"),
+        (3, "min_leaf  2", "'min_leaf' header must read '2'"),
+        (4, "max_depth 07", "'max_depth' header must read '7'"),
+        (7, "split V1 1.50", "'split' line must read 'V1 1.5'"),
+        (8, "leaf 05 0 0 0", "'leaf' line must read '5 0 0 0'"),
     ])
     def test_bad_line_names_its_line(self, line, text, message):
         assert parse(self._SMALL).training_fingerprint == (20, (5, 5, 5, 5))
