@@ -1,8 +1,8 @@
 """Serial-equal maps over forked workers, shared by cross-validation folds and subtree growth.
 
-A map runs ``f(i)`` for i in ``range(k)`` in up to ``workers`` processes: this one and forked
-children, which pickle their results back through a pipe. The results are those of the serial
-loop, and so is any exception, which is raised from a call made here.
+A map runs ``f(i)`` for i in ``range(k)`` over an input of ``rows`` rows in up to ``min(k, _workers(rows))``
+processes: this one and forked children, which pickle their results back through a pipe. The results are
+those of the serial loop, and so is any exception, which is raised from a call made here.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ def _workers(rows: int) -> int:
     return len(os.sched_getaffinity(0)) if forkable and not _mapping else 1
 
 
-def _map_folds(fold_result, k: int, workers: int) -> list:
-    """``[fold_result(i) for i in range(k)]``, fold i tried first by worker i % workers: 0 is this process,
-    others forked. Every fold left without a result (unforked or dead child, short pipe, an exception)
-    runs again here in index order, so the lowest failing fold raises here, as the serial loop would."""
+def _map(fold_result, k: int, rows: int) -> list:
+    """``[fold_result(i) for i in range(k)]`` over an input of ``rows`` rows, fold i tried first by worker
+    i % workers of ``max(1, min(k, _workers(rows)))``: 0 is this process, others forked. Every fold left
+    without a result (unforked or dead child, short pipe, an exception) runs again here in index order, so
+    the lowest failing fold raises here, as the serial loop would."""
     global _mapping
 
     def run(folds) -> dict:  # results by fold up to the first that raises, which is dropped
@@ -37,6 +38,7 @@ def _map_folds(fold_result, k: int, workers: int) -> list:
                 done[i] = fold_result(i)
         return done
 
+    workers = max(1, min(k, _workers(rows)))
     children = []  # (pid or None, reader of the pipe that brings its pickled results)
     nested, _mapping = _mapping, True
     try:

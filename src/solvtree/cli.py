@@ -2,6 +2,13 @@
 
 Exit codes: 0 success, 1 data or validation error, 2 usage error.
 Diagnostics go to stderr; results go to files or stdout.
+
+Each setting is its flag, else the ``--config`` value, else the default, settled once by ``main``
+so that a command reads only its arguments. An absent or empty path flag takes the ``paths`` key
+of its name (``train -o`` takes ``paths.model``); no other ``paths`` key is read, and other flags
+fall back only when absent. The seed is ``--seed``, else the config's when ``--config`` is given,
+else ``SOLVTREE_SEED`` (read by ``generate``, ``balance`` and ``cross-validate``), else 0. The
+balance mode is ``--mode`` or ``--balance-mode`` (one dest), else the config's ``balance.mode``.
 """
 
 from __future__ import annotations
@@ -10,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Iterable
 
@@ -144,35 +151,46 @@ def _write_dataset(ds: Dataset, path: str | None) -> None:
     write_csv(ds, sys.stdout if path is None or path == "-" else path)
 
 
-def _write_report(args, cfg: PipelineConfig, report) -> None:
-    _write_lines(args.report or cfg.paths.get("report"), (render_report(report),))
-    summary_path = args.summary or cfg.paths.get("summary")
-    if summary_path:
-        _write_lines(summary_path, (summary_lines(report),))
+def _write_report(args, report) -> None:
+    _write_lines(args.report, (render_report(report),))
+    if args.summary:
+        _write_lines(args.summary, (summary_lines(report),))
 
 
-def _config(args) -> PipelineConfig:
-    if args.config:
-        if not Path(args.config).is_file():
-            raise CliUsageError(f"config file not found: {args.config}")
-        return PipelineConfig.from_file(args.config)
-    return PipelineConfig()
+def _settle(args) -> None:
+    """Fill each flag of ``args`` left unset from ``--config``, else the default (see the module docstring)."""
+    if args.config and not Path(args.config).is_file():
+        raise CliUsageError(f"config file not found: {args.config}")
+    cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
+    balance = cfg.balance or BalanceTargets(mode="resample")
+    unset = {  # flag dest -> its value when the flag is None
+        "seed": cfg.seed if args.config else None, "folds": cfg.folds, "bins": cfg.feature_bins,
+        "cf": cfg.learner.confidence_factor, "min_leaf": cfg.learner.min_leaf, "max_depth": cfg.learner.max_depth,
+        "mode": getattr(cfg.balance, "mode", None), "bias": balance.bias_to_uniform,
+        "percent": balance.sample_size_percent, "targets": balance.target_counts, "k_neighbors": balance.k_neighbors,
+    }
+    paths = {dest: cfg.paths.get(dest) for dest in ("input", "output", "model", "test", "report", "summary")}
+    if args.command == "train":
+        paths["output"] = paths["model"]
+    for dest, value in vars(args).items():
+        if dest in paths and not value:
+            setattr(args, dest, paths[dest])
+        elif dest in unset and value is None:
+            setattr(args, dest, unset[dest])
 
 
-def _resolve_seed(args, cfg: PipelineConfig) -> int:
+def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    env = None if args.config else os.environ.get(SEED_ENV_VAR)  # a config's seed wins over the variable
-    if env is None:
-        return cfg.seed
+    env = os.environ.get(SEED_ENV_VAR, "0")
     try:
         return _plain_int(env)
     except ValueError:
         raise CliUsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
-def _resolve_input(args, cfg: PipelineConfig, key: str = "input") -> str:
-    path = getattr(args, key) or cfg.paths.get(key)
+def _resolve_input(args, key: str = "input") -> str:
+    path = getattr(args, key)
     if path is None:
         raise CliUsageError(f"no --{key} given and the config provides no '{key}' path")
     if not Path(path).is_file():
@@ -180,104 +198,84 @@ def _resolve_input(args, cfg: PipelineConfig, key: str = "input") -> str:
     return path
 
 
-def _dataset(args, cfg: PipelineConfig, key: str = "input") -> Dataset:
+def _dataset(args, key: str = "input") -> Dataset:
     """The CSV at ``key``, repeats allowed, labeled by CAR band if classless, narrowed to ``--attributes``."""
-    ds = load_csv(_resolve_input(args, cfg, key), expect_labels=True, allow_duplicates=True)
+    ds = load_csv(_resolve_input(args, key), expect_labels=True, allow_duplicates=True)
     return ds.with_schema(args.attributes) if getattr(args, "attributes", None) else ds
 
 
-def _flag_or(flag, fallback):
-    """A flag's value when it was given, else the config or default value."""
-    return fallback if flag is None else flag
+def _learner(args) -> LearnerParams:
+    return LearnerParams(args.cf, args.min_leaf, args.max_depth)
 
 
-def _overlay(base, **flags):
-    """``base`` with each field whose flag was given (not None) replaced by the flag's value."""
-    return replace(base, **{name: value for name, value in flags.items() if value is not None})
-
-
-def _learner(args, cfg: PipelineConfig) -> LearnerParams:
-    return _overlay(cfg.learner, confidence_factor=args.cf, min_leaf=args.min_leaf, max_depth=args.max_depth)
-
-
-def _balance_targets(args, cfg: PipelineConfig, mode: str | None) -> BalanceTargets | None:
-    """Balancing request with each knob taken from its flag, else ``cfg.balance``,
-    else the :class:`BalanceTargets` default; None when neither the ``mode``
-    flag nor the config names a mode.
-    """
-    if mode is None and cfg.balance is None:
+def _balance_targets(args) -> BalanceTargets | None:
+    """The balancing request of ``args``; None for no mode or 'none'."""
+    if args.mode in (None, "none"):
         return None
-    base = cfg.balance or BalanceTargets(mode="resample")
-    if (mode or base.mode) == "smote" and _flag_or(args.targets, base.target_counts) is None:
+    if args.mode == "smote" and args.targets is None:
         raise CliUsageError("smote balancing needs --targets a,b,c,d")
-    return _overlay(base, mode=mode, bias_to_uniform=args.bias, sample_size_percent=args.percent,
-                    target_counts=args.targets, k_neighbors=args.k_neighbors)
+    return BalanceTargets(args.mode, args.bias, args.percent, args.targets, args.k_neighbors)
 
 
-def _cmd_generate(args, cfg: PipelineConfig) -> None:
-    spec = GeneratorSpec(
-        class_counts=args.counts,
-        separation=args.separation,
-        n_attributes=args.n_attributes,
-        seed=_resolve_seed(args, cfg),
-    )
-    _write_dataset(generate(spec), args.output or cfg.paths.get("output"))
+def _cmd_generate(args) -> None:
+    spec = GeneratorSpec(class_counts=args.counts, separation=args.separation, n_attributes=args.n_attributes,
+                         seed=_resolve_seed(args))
+    _write_dataset(generate(spec), args.output)
 
 
-def _cmd_label(args, cfg: PipelineConfig) -> None:
-    ds = _dataset(args, cfg)
+def _cmd_label(args) -> None:
+    ds = _dataset(args)
     relabeled = Dataset._of(ds.schema, *ds._columns()[:-1], _car_bands(ds.car))  # a new y column
-    _write_dataset(relabeled, args.output or cfg.paths.get("output"))
+    _write_dataset(relabeled, args.output)
 
 
-def _cmd_select_features(args, cfg: PipelineConfig) -> None:
-    ds = _dataset(args, cfg)
-    result = greedy_stepwise(ds, _flag_or(args.bins, cfg.feature_bins))
+def _cmd_select_features(args) -> None:
+    result = greedy_stepwise(_dataset(args), args.bins)
     print(",".join(result.selected))
     print(f"merit={result.merit!r}")
 
 
-def _cmd_balance(args, cfg: PipelineConfig) -> None:
-    balance = _balance_targets(args, cfg, args.mode)
+def _cmd_balance(args) -> None:
+    balance = _balance_targets(args)
     if balance is None:
         raise CliUsageError("no --mode given and the config provides no balance mode")
-    ds = _dataset(args, cfg)
-    _write_dataset(_apply(ds, balance, _resolve_seed(args, cfg)), args.output or cfg.paths.get("output"))
+    ds = _dataset(args)
+    _write_dataset(_apply(ds, balance, _resolve_seed(args)), args.output)
 
 
-def _cmd_train(args, cfg: PipelineConfig) -> None:
-    model = grow(_dataset(args, cfg), _learner(args, cfg))
-    _write_lines(args.output or cfg.paths.get("model"), (serialize(model),))
+def _cmd_train(args) -> None:
+    model = grow(_dataset(args), _learner(args))
+    _write_lines(args.output, (serialize(model),))
 
 
-def _cmd_cross_validate(args, cfg: PipelineConfig) -> None:
-    ds = _dataset(args, cfg)
-    seed = _resolve_seed(args, cfg)
-    balance = None if args.balance_mode == "none" else _balance_targets(args, cfg, args.balance_mode)
-    report = cross_validate(ds, _flag_or(args.folds, cfg.folds), _learner(args, cfg), balance, seed)
-    _write_report(args, cfg, report)
+def _cmd_cross_validate(args) -> None:
+    ds = _dataset(args)
+    seed = _resolve_seed(args)
+    balance = _balance_targets(args)
+    report = cross_validate(ds, args.folds, _learner(args), balance, seed)
+    _write_report(args, report)
 
 
-def _cmd_evaluate(args, cfg: PipelineConfig) -> None:
-    model = read_model(_resolve_input(args, cfg, "model"))
-    _write_report(args, cfg, evaluate_on(model, _dataset(args, cfg, "test")))
+def _cmd_evaluate(args) -> None:
+    model = read_model(_resolve_input(args, "model"))
+    _write_report(args, evaluate_on(model, _dataset(args, "test")))
 
 
-def _cmd_predict(args, cfg: PipelineConfig) -> None:
-    model = read_model(_resolve_input(args, cfg, "model"))
-    ds = _dataset(args, cfg)
+def _cmd_predict(args) -> None:
+    model = read_model(_resolve_input(args, "model"))
+    ds = _dataset(args)
     classes, freqs = _route(model, ds.values)
     lines = [
         f"{_csv_text(company_id)},{'' if year is None else year},{CLASS_ALPHABET[c].csv_name},"
         + ",".join(map(repr, p)) + "\n"
         for company_id, year, c, p in zip(ds.company_id, ds.year, classes.tolist(), freqs.tolist())
     ]
-    _write_lines(args.output or cfg.paths.get("output"), ("".join(lines),))
+    _write_lines(args.output, ("".join(lines),))
 
 
-def _cmd_render_tree(args, cfg: PipelineConfig) -> None:
-    model = read_model(_resolve_input(args, cfg, "model"))
-    _write_lines(args.output or cfg.paths.get("output"), render_lines(model))
+def _cmd_render_tree(args) -> None:
+    model = read_model(_resolve_input(args, "model"))
+    _write_lines(args.output, render_lines(model))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,9 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "generate", parents=[common, output], help="write a seeded synthetic dataset CSV"
-    )
+    p = sub.add_parser("generate", parents=[common, output], help="write a seeded synthetic dataset CSV")
     p.add_argument("--counts", type=_counts, required=True, help="per-class record counts a,b,c,d")
     p.add_argument("--separation", type=_plain_float, default=6.0, help="class mean spacing in within-class sd")
     p.add_argument("--n-attributes", type=_plain_int, default=11, help="number of schema attributes (1..11)")
@@ -330,9 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default=None, help="input CSV")
     p.set_defaults(func=_cmd_label)
 
-    p = sub.add_parser(
-        "select-features", parents=[common], help="greedy correlation-based attribute selection"
-    )
+    p = sub.add_parser("select-features", parents=[common], help="greedy correlation-based attribute selection")
     p.add_argument("--input", default=None, help="labeled input CSV")
     p.add_argument("--bins", type=_plain_int, default=None, help="equal-frequency bins for correlation")
     p.set_defaults(func=_cmd_select_features)
@@ -357,40 +351,35 @@ def build_parser() -> argparse.ArgumentParser:
         "--folds", type=_plain_int, default=None, help="stratified folds, at least 2; default the config's folds, else 10"
     )
     p.add_argument(
-        "--balance-mode", choices=["resample", "smote", "none"], default=None,
+        "--balance-mode", dest="mode", choices=["resample", "smote", "none"], default=None,
         help="balance each fold's training portion",
     )
     p.set_defaults(func=_cmd_cross_validate)
 
-    p = sub.add_parser(
-        "evaluate", parents=[common, model, report], help="score a model on a labeled test CSV"
-    )
+    p = sub.add_parser("evaluate", parents=[common, model, report], help="score a model on a labeled test CSV")
     p.add_argument("--test", default=None, help="labeled test CSV")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser(
-        "predict", parents=[common, model, output], help="classify records with a saved model"
-    )
+    p = sub.add_parser("predict", parents=[common, model, output], help="classify records with a saved model")
     p.add_argument("--input", default=None, help="input CSV")
     p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser(
-        "render-tree", parents=[common, model, output], help="print a model as indented text"
-    )
+    p = sub.add_parser("render-tree", parents=[common, model, output], help="print a model as indented text")
     p.set_defaults(func=_cmd_render_tree)
 
     return parser
 
 
 def main(argv=None) -> int:
-    """Parse, load the config, run the command, and map its errors to exit codes."""
+    """Parse, settle the flags, run the command, and map its errors to exit codes."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage or help
         return int(exc.code or 0)
     try:
-        args.func(args, _config(args))
+        _settle(args)
+        args.func(args)
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"run 'solvtree {args.command} --help' for usage", file=sys.stderr)

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._fork import FORK_MIN_ROWS, _map_folds, _workers
+from ._fork import _map
 from .balance import BalanceTargets, _apply, _short_classes
 from .dataset import CLASS_ALPHABET, N_CLASSES, Dataset, SolvencyClass, class_distribution
 from .dataset import _check_int, _shuffled_classes
@@ -175,7 +175,7 @@ def cross_validate(
             train, notes = _balanced_training(train, balance, _fold_seed(seed, i), i)
         return _route(grow(train, params), ds.values[folds[i]]), notes
 
-    routed, notes = zip(*_map_folds(fold_result, k, min(k, _workers(len(ds)))))
+    routed, notes = zip(*_map(fold_result, k, len(ds)))
     predicted, probs = map(np.concatenate, zip(*routed))
     return report_from_predictions(ds.label_indices()[np.concatenate(folds)], predicted, probs, sum(notes, []))
 

@@ -23,7 +23,6 @@ class DiscretizedView:
     """Per-attribute integer bin ids for every record; feeds correlation only."""
 
     bins: np.ndarray  # shape (n_records, n_attributes)
-    n_bins: int
     attributes: tuple[str, ...]
 
 
@@ -53,7 +52,7 @@ def discretize(ds: Dataset, n_bins: int = 10) -> DiscretizedView:
         _, inverse, counts = np.unique(column, return_inverse=True, return_counts=True)
         ranks.append((np.cumsum(counts) - counts)[inverse])
     bins = np.column_stack(ranks) * min(n_bins, n) // n  # int64-safe
-    return DiscretizedView(bins, n_bins, ds.schema)
+    return DiscretizedView(bins, ds.schema)
 
 
 def _entropy_of_counts(counts: np.ndarray) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import CLASS_ALPHABET, N_CLASSES, CompanyRecord, Dataset, SolvencyClass
 from .dataset import _check_int, _real, _sum_in_order, attribute_column
-from ._fork import _map_folds, _workers
+from ._fork import _map
 
 # Score comparisons treat differences within this slack as ties so exact
 # mathematical ties are not broken by rounding noise.
@@ -128,11 +128,15 @@ class TreeModel:
     _tree: _Tree
     params: LearnerParams
     schema: tuple[str, ...]
-    training_fingerprint: tuple[int, tuple[int, int, int, int]]
 
     def __post_init__(self) -> None:
         if not isinstance(self._tree, _Tree):
             object.__setattr__(self, "_tree", _flatten(self._tree))
+
+    @property
+    def training_fingerprint(self) -> tuple[int, tuple[int, int, int, int]]:
+        """(training rows, per-class counts), read from the root's counts."""
+        return sum(self._tree.counts[0]), self._tree.counts[0]
 
     @cached_property
     def root(self) -> TreeNode:
@@ -268,11 +272,10 @@ def grow_unpruned(ds: Dataset, params: LearnerParams = LearnerParams()) -> TreeM
     # the open subtrees, largest first, so that dealing them round-robin spreads the rows evenly;
     # one process or several, the same calls run in the same order, so the same tree or error results
     frontier = sorted((i for i, node in enumerate(top) if node[0] is None), key=lambda i: -top[i][1].size)
-    workers = max(1, min(_workers(len(ds)), len(frontier)))
-    subtrees = _map_folds(lambda j: grow_nodes(*top[frontier[j]][1:], None), len(frontier), workers)
+    subtrees = _map(lambda j: grow_nodes(*top[frontier[j]][1:], None), len(frontier), len(ds))
     grown = dict(zip(frontier, subtrees))
     tree = _link([grown_node for i, node in enumerate(top) for grown_node in grown.get(i, [node])])
-    return TreeModel(tree, params, ds.schema, (len(ds), tree.counts[0]))
+    return TreeModel(tree, params, ds.schema)
 
 
 def grow(ds: Dataset, params: LearnerParams = LearnerParams()) -> TreeModel:

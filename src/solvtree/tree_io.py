@@ -131,7 +131,7 @@ def parse(text: str) -> TreeModel:
     if reader.pos != len(reader.lines):
         raise ModelFormatError("trailing content after the tree", reader.pos + 1)
     tree = _link(nodes)
-    model = TreeModel(tree, params, schema, (sum(tree.counts[0]), tree.counts[0]))
+    model = TreeModel(tree, params, schema)
     for at, (line, expected) in enumerate(zip(reader.lines, serialize(model).splitlines()), 1):
         if line != expected:  # each model has one text: serialize's
             key, _, value = expected.partition(" ")

@@ -113,6 +113,11 @@ class TestGenerate:
         assert out.startswith("company_id,year,tca,tcr,car,V1")
         assert len(out.strip().splitlines()) == 5
 
+    def test_empty_output_flag_writes_stdout(self, capsys):
+        absent = _run(capsys, "generate", "--counts", "1,1,1,1", "--seed", "0")
+        assert _run(capsys, "generate", "--counts", "1,1,1,1", "--seed", "0", "-o", "") == absent
+        assert absent[1].startswith("company_id,year,tca,tcr,car,V1")
+
     def test_bad_counts_is_usage_error(self, capsys):
         code, _, err = _run(capsys, "generate", "--counts", "1,2,3")
         assert code == 2
@@ -595,6 +600,24 @@ class TestConfigAndSeeds:
             assert main(["generate", "--counts", "2,2,2,2", *extra, "-o", str(outputs[name])]) == 0
         assert outputs["config"].read_bytes() == outputs["seed0"].read_bytes()
         assert outputs["env"].read_bytes() != outputs["seed0"].read_bytes()
+
+    def test_train_ignores_the_env_seed(self, data_csv, tmp_path, monkeypatch):
+        models = {}
+        for name, env in {"plain": None, "bad": "x"}.items():
+            if env is not None:
+                monkeypatch.setenv("SOLVTREE_SEED", env)
+            models[name] = tmp_path / f"{name}.tree"
+            assert main(["train", "--input", str(data_csv), "-o", str(models[name])]) == 0
+        assert models["bad"].read_bytes() == models["plain"].read_bytes()
+
+    def test_config_paths_read_only_path_keys(self, data_csv, tmp_path, capsys):
+        # paths keys named after other flags or after the parser's own fields stand in for nothing
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"paths": {"func": "x", "folds": "3", "attributes": "V1"}}), encoding="utf-8")
+        argv = ["cross-validate", "--input", str(data_csv), "--seed", "3"]
+        plain = _run(capsys, *argv)
+        assert plain[0] == 0
+        assert _run(capsys, *argv, "--config", str(cfg)) == plain
 
     def test_env_seed_takes_ascii_digits_only(self, tmp_path, monkeypatch, capsys):
         # int alone reads " ٣_3 " as 33; the CSV reader's rule refuses it

@@ -30,6 +30,7 @@ from solvtree import (
 )
 
 from solvtree import evaluate
+from solvtree._fork import FORK_MIN_ROWS
 
 from forks import _assert_no_child_left, _count_forks, _cpus
 from oracles import make_dataset
@@ -244,7 +245,7 @@ class TestForkedFolds:
         None,
     ], ids=["smote", "smote-skipping-two-folds", "unbalanced"])
     def test_report_bytes_match_the_serial_run(self, monkeypatch, balance):
-        assert len(_FORKED) >= evaluate.FORK_MIN_ROWS
+        assert len(_FORKED) >= FORK_MIN_ROWS
         _cpus(monkeypatch, 1)
         serial = cross_validate(_FORKED, 10, LearnerParams(), balance, seed=4)
         _cpus(monkeypatch, 3)
@@ -324,8 +325,8 @@ class TestForkedFolds:
     def test_no_fork_below_the_row_gate_or_beside_a_thread(self, monkeypatch):
         _cpus(monkeypatch, 3)
         forks = _count_forks(monkeypatch)
-        small = generate(GeneratorSpec((10, 20, 30, evaluate.FORK_MIN_ROWS - 61), seed=1))
-        assert len(small) == evaluate.FORK_MIN_ROWS - 1
+        small = generate(GeneratorSpec((10, 20, 30, FORK_MIN_ROWS - 61), seed=1))
+        assert len(small) == FORK_MIN_ROWS - 1
         cross_validate(small, 10, seed=2)
         assert forks == []
         released = threading.Event()

@@ -422,7 +422,7 @@ class TestGrow:
         params = LearnerParams(min_leaf=min_leaf, max_depth=max_depth)
         model = grow_unpruned(ds, params)
         root = reference_grow(rows, labels, min_leaf, max_depth)
-        assert serialize(model) == serialize(TreeModel(root, params, ds.schema, model.training_fingerprint))
+        assert serialize(model) == serialize(TreeModel(root, params, ds.schema))
         counts = tuple(labels.count(c) for c in range(4))
         assert model.training_fingerprint == (len(rows), counts)
 
@@ -605,8 +605,7 @@ class TestPrune:
 
         def pruned_texts():
             return [
-                serialize(TreeModel(prune(model.root, cf), LearnerParams(cf), model.schema,
-                                    model.training_fingerprint))
+                serialize(TreeModel(prune(model.root, cf), LearnerParams(cf), model.schema))
                 for model in unpruned for cf in (0.05, 0.25, 0.5)
             ]
 
@@ -695,7 +694,7 @@ class TestPreOrderNodes:
     @staticmethod
     def _check_round_trips(model: TreeModel) -> None:
         again = parse(serialize(model))
-        assert TreeModel(model.root, model.params, model.schema, model.training_fingerprint) == model
+        assert TreeModel(model.root, model.params, model.schema) == model
         assert again == model
         # dataclass == recurses once per level, so deep trees are compared node by node
         assert same_tree(again.root, model.root)
@@ -711,8 +710,7 @@ class TestPreOrderNodes:
 
     @pytest.mark.parametrize("weight", [1, 2])
     def test_deep_chain_round_trips(self, weight):
-        self._check_round_trips(TreeModel(_peeling_chain(weight), LearnerParams(), ("V1",),
-                                          (3002 * weight, (1501 * weight, 0, 0, 1501 * weight))))
+        self._check_round_trips(TreeModel(_peeling_chain(weight), LearnerParams(), ("V1",)))
 
 
 class TestPredict:
@@ -721,7 +719,6 @@ class TestPredict:
             Leaf((0, 0, 0, 9), SolvencyClass.STRONG),
             LearnerParams(),
             ("V1",),
-            (9, (0, 0, 0, 9)),
         )
         ds = make_dataset([(0.0,)], [3])
         cls, probs = predict(model, ds.records[0])
@@ -753,7 +750,6 @@ class TestPredict:
                   Leaf((0, 0, 0, 1), SolvencyClass.STRONG)),
             LearnerParams(),
             ("V1",),
-            (2, (1, 0, 0, 1)),
         )
         ds = make_dataset([(0.0,)], [0])
         with pytest.raises(ValueError):

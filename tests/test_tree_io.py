@@ -54,7 +54,6 @@ class TestRoundTrip:
                   Leaf((0, 0, 0, 2), SolvencyClass.STRONG)),
             LearnerParams(confidence_factor=0.1, min_leaf=3, max_depth=7),
             ("V3", "V5"),
-            (4, (2, 0, 0, 2)),
         )
         again = parse(serialize(model))
         assert again == model
@@ -173,7 +172,7 @@ class TestParseErrors:
 
     def test_bad_counts(self):
         model = TreeModel(
-            Leaf((1, 0, 0, 0), SolvencyClass.INSOLVENCY), LearnerParams(), ("V1",), (1, (1, 0, 0, 0))
+            Leaf((1, 0, 0, 0), SolvencyClass.INSOLVENCY), LearnerParams(), ("V1",)
         )
         text = serialize(model).replace("leaf 1 0 0 0", "leaf 0 0 0 0")
         with pytest.raises(ModelFormatError, match="positive total"):
@@ -181,8 +180,7 @@ class TestParseErrors:
 
 
 _BASE_TEXTS = [serialize(_random_model(np.random.default_rng(seed))) for seed in (9, 21, 40)] + [
-    serialize(TreeModel(Leaf((3, 0, 0, 1), SolvencyClass.INSOLVENCY), LearnerParams(), ("V2", "V5", "V11"),
-                        (4, (3, 0, 0, 1))))
+    serialize(TreeModel(Leaf((3, 0, 0, 1), SolvencyClass.INSOLVENCY), LearnerParams(), ("V2", "V5", "V11")))
 ]
 _ODD_TOKENS = ["V1", "V2", "V11", "V12", "leaf", "split", "none", "0", "-1", "0.5", "nan", "inf",
                "1e400", "99999999999999999999", "", " ", ","]
@@ -230,7 +228,7 @@ class TestFuzzedModelText:
 class TestRenderText:
     def test_single_leaf_one_line(self):
         model = TreeModel(
-            Leaf((0, 0, 0, 9), SolvencyClass.STRONG), LearnerParams(), ("V1",), (9, (0, 0, 0, 9))
+            Leaf((0, 0, 0, 9), SolvencyClass.STRONG), LearnerParams(), ("V1",)
         )
         assert render_text(model) == "strong [0 0 0 9]\n"
 
@@ -247,7 +245,6 @@ class TestRenderText:
             ),
             LearnerParams(),
             ("V1", "V2"),
-            (9, (3, 2, 0, 4)),
         )
         text = render_text(model)
         assert text == (
@@ -271,7 +268,6 @@ class TestRenderText:
             ),
             LearnerParams(),
             ("V1", "V2"),
-            (9, (3, 2, 0, 4)),
         )
         assert render_text(model) == (
             "V1 <= 1.5:\n"
