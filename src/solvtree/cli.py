@@ -9,6 +9,11 @@ of its name (``train -o`` takes ``paths.model``); no other ``paths`` key is read
 fall back only when absent. The seed is ``--seed``, else the config's when ``--config`` is given,
 else ``SOLVTREE_SEED`` (read by ``generate``, ``balance`` and ``cross-validate``), else 0. The
 balance mode is ``--mode`` or ``--balance-mode`` (one dest), else the config's ``balance.mode``.
+
+Usage errors (exit 2) come before any input file is read, so a run with one writes nothing, whatever
+else is wrong. ``main`` checks, in this order: the config file, the input paths in flag order, the seed
+variable, the balance mode and targets, then the balance and learner values (exit 1). Checks that
+need the data, such as ``--folds`` above the row count, stay with the commands.
 """
 
 from __future__ import annotations
@@ -158,7 +163,8 @@ def _write_report(args, report) -> None:
 
 
 def _settle(args) -> None:
-    """Fill each flag of ``args`` left unset from ``--config``, else the default (see the module docstring)."""
+    """Fill each flag of ``args`` left unset from ``--config``, else the default, then check the input paths and
+    set the seed, ``args.balance`` and ``args.learner``, raising each usage fault first (see the module docstring)."""
     if args.config and not Path(args.config).is_file():
         raise CliUsageError(f"config file not found: {args.config}")
     cfg = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
@@ -172,54 +178,42 @@ def _settle(args) -> None:
     paths = {dest: cfg.paths.get(dest) for dest in ("input", "output", "model", "test", "report", "summary")}
     if args.command == "train":
         paths["output"] = paths["model"]
-    for dest, value in vars(args).items():
+    for dest, value in vars(args).items():  # in flag order, so the first input path at fault is reported
         if dest in paths and not value:
-            setattr(args, dest, paths[dest])
+            value = paths[dest]
+            setattr(args, dest, value)
         elif dest in unset and value is None:
             setattr(args, dest, unset[dest])
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR, "0")
-    try:
-        return _plain_int(env)
-    except ValueError:
-        raise CliUsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-
-
-def _resolve_input(args, key: str = "input") -> str:
-    path = getattr(args, key)
-    if path is None:
-        raise CliUsageError(f"no --{key} given and the config provides no '{key}' path")
-    if not Path(path).is_file():
-        raise CliUsageError(f"input file not found: {path}")
-    return path
+        if dest in ("input", "model", "test") and value is None:
+            raise CliUsageError(f"no --{dest} given and the config provides no '{dest}' path")
+        if dest in ("input", "model", "test") and not Path(value).is_file():
+            raise CliUsageError(f"input file not found: {value}")
+    if args.seed is None and args.command in ("generate", "balance", "cross-validate"):
+        env = os.environ.get(SEED_ENV_VAR, "0")
+        try:
+            args.seed = _plain_int(env)
+        except ValueError:
+            raise CliUsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
+    if hasattr(args, "mode"):
+        if args.mode == "smote" and args.targets is None:
+            raise CliUsageError("smote balancing needs --targets a,b,c,d")
+        if args.mode is None and args.command == "balance":
+            raise CliUsageError("no --mode given and the config provides no balance mode")
+        args.balance = None if args.mode in (None, "none") else BalanceTargets(
+            args.mode, args.bias, args.percent, args.targets, args.k_neighbors)
+    if hasattr(args, "cf"):
+        args.learner = LearnerParams(args.cf, args.min_leaf, args.max_depth)
 
 
 def _dataset(args, key: str = "input") -> Dataset:
     """The CSV at ``key``, repeats allowed, labeled by CAR band if classless, narrowed to ``--attributes``."""
-    ds = load_csv(_resolve_input(args, key), expect_labels=True, allow_duplicates=True)
+    ds = load_csv(getattr(args, key), expect_labels=True, allow_duplicates=True)
     return ds.with_schema(args.attributes) if getattr(args, "attributes", None) else ds
-
-
-def _learner(args) -> LearnerParams:
-    return LearnerParams(args.cf, args.min_leaf, args.max_depth)
-
-
-def _balance_targets(args) -> BalanceTargets | None:
-    """The balancing request of ``args``; None for no mode or 'none'."""
-    if args.mode in (None, "none"):
-        return None
-    if args.mode == "smote" and args.targets is None:
-        raise CliUsageError("smote balancing needs --targets a,b,c,d")
-    return BalanceTargets(args.mode, args.bias, args.percent, args.targets, args.k_neighbors)
 
 
 def _cmd_generate(args) -> None:
     spec = GeneratorSpec(class_counts=args.counts, separation=args.separation, n_attributes=args.n_attributes,
-                         seed=_resolve_seed(args))
+                         seed=args.seed)
     _write_dataset(generate(spec), args.output)
 
 
@@ -236,33 +230,24 @@ def _cmd_select_features(args) -> None:
 
 
 def _cmd_balance(args) -> None:
-    balance = _balance_targets(args)
-    if balance is None:
-        raise CliUsageError("no --mode given and the config provides no balance mode")
-    ds = _dataset(args)
-    _write_dataset(_apply(ds, balance, _resolve_seed(args)), args.output)
+    _write_dataset(_apply(_dataset(args), args.balance, args.seed), args.output)
 
 
 def _cmd_train(args) -> None:
-    model = grow(_dataset(args), _learner(args))
+    model = grow(_dataset(args), args.learner)
     _write_lines(args.output, (serialize(model),))
 
 
 def _cmd_cross_validate(args) -> None:
-    ds = _dataset(args)
-    seed = _resolve_seed(args)
-    balance = _balance_targets(args)
-    report = cross_validate(ds, args.folds, _learner(args), balance, seed)
-    _write_report(args, report)
+    _write_report(args, cross_validate(_dataset(args), args.folds, args.learner, args.balance, args.seed))
 
 
 def _cmd_evaluate(args) -> None:
-    model = read_model(_resolve_input(args, "model"))
-    _write_report(args, evaluate_on(model, _dataset(args, "test")))
+    _write_report(args, evaluate_on(read_model(args.model), _dataset(args, "test")))
 
 
 def _cmd_predict(args) -> None:
-    model = read_model(_resolve_input(args, "model"))
+    model = read_model(args.model)
     ds = _dataset(args)
     classes, freqs = _route(model, ds.values)
     lines = [
@@ -274,8 +259,7 @@ def _cmd_predict(args) -> None:
 
 
 def _cmd_render_tree(args) -> None:
-    model = read_model(_resolve_input(args, "model"))
-    _write_lines(args.output, render_lines(model))
+    _write_lines(args.output, render_lines(read_model(args.model)))
 
 
 def build_parser() -> argparse.ArgumentParser:

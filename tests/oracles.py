@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from solvtree import CLASS_ALPHABET, CompanyRecord, Dataset, ATTRIBUTE_NAMES, Leaf, Split, TreeNode
-from solvtree import pessimistic_error
+from solvtree import BalanceTargets, LearnerParams, pessimistic_error, stratified_folds
 from solvtree.dataset import _LABELS, _N_CELLS, CsvFormatError, SolvencyClass, _cell_float, _check_row, _plain
 
 # CAR values inside each band so synthetic test records stay label-consistent
@@ -220,6 +220,70 @@ def reference_prune(root: TreeNode, cf: float) -> TreeNode:
             else:
                 done.append((Split(node.attribute, node.threshold, left, right), counts, subtree_error))
     return done[0][0]
+
+
+def reference_smote(ds, targets, k, seed):
+    """SMOTE with every neighbour list rebuilt from records, one pool per visited member."""
+    y = ds.label_indices()
+    out = list(ds.records)
+    for cls in CLASS_ALPHABET:
+        members = [ds.records[i] for i in np.flatnonzero(y == cls.value)]
+        deficit = targets[cls.value] - len(members)
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, cls.value]))
+        for t in range(deficit):
+            s = t % len(members)
+            base = members[s]
+            pool = members[:s] + members[s + 1 :]
+            q = np.array([base.value(a) for a in ds.schema])
+            P = np.array([[r.value(a) for a in ds.schema] for r in pool])
+            d = np.sqrt(((P - q) ** 2).sum(axis=1))
+            neighbors = [pool[int(i)] for i in np.argsort(d, kind="stable")[:k]]
+            other = neighbors[int(rng.integers(len(neighbors)))]
+            u = float(rng.random())
+            values = tuple(a + u * (b - a) for a, b in zip(base.values, other.values))
+            car = base.car + u * (other.car - base.car)
+            out.append(CompanyRecord(None, None, None, None, car, values, cls))
+    return out
+
+
+def reference_cross_validate(ds: Dataset, k: int, params: LearnerParams, balance: BalanceTargets | None, seed: int):
+    """``(actual, predicted, probs, warnings)`` of k-fold cross-validation, pooled in fold order.
+
+    Each fold of :func:`stratified_folds` trains on the other records, SMOTE-balanced per record by
+    :func:`reference_smote` when ``balance`` asks for it: targets are raised to the fold's counts, and a
+    fold where a class below its target has fewer than 2 members trains unbalanced with a warning. The
+    tree is :func:`reference_grow` pruned by :func:`reference_prune`, and each held-out record walks it
+    to a leaf, whose class frequencies it takes. ``ds``'s schema must be a prefix of ``ATTRIBUTE_NAMES``,
+    as ``reference_grow`` names each attribute by its position.
+    """
+    assert ds.schema == ATTRIBUTE_NAMES[: len(ds.schema)]
+    assert balance is None or balance.mode == "smote"
+    actual, predicted, probs, warnings = [], [], [], []
+    for i, fold in enumerate(stratified_folds(ds, k, seed)):
+        held_out = set(fold)
+        train = [r for j, r in enumerate(ds.records) if j not in held_out]
+        if balance is not None:
+            counts = [sum(r.label is cls for r in train) for cls in CLASS_ALPHABET]
+            targets = [max(t, c) for t, c in zip(balance.target_counts, counts)]
+            short = [cls.csv_name for cls, t, c in zip(CLASS_ALPHABET, targets, counts) if t > c and c < 2]
+            if short:
+                warnings.append(f"fold {i}: class {', '.join(short)} has fewer than 2 training members; "
+                                "oversampling skipped")
+            else:
+                fold_seed = int(np.random.SeedSequence(entropy=[seed, i]).generate_state(1)[0])
+                train = reference_smote(Dataset(tuple(train), ds.schema), targets, balance.k_neighbors, fold_seed)
+        rows = [tuple(r.value(a) for a in ds.schema) for r in train]
+        root = reference_grow(rows, [r.label.value for r in train], params.min_leaf, params.max_depth)
+        root = reference_prune(root, params.confidence_factor)
+        for j in fold:
+            node = root
+            while isinstance(node, Split):
+                node = node.left if ds.records[j].value(node.attribute) <= node.threshold else node.right
+            freqs = [c / sum(node.class_counts) for c in node.class_counts]
+            actual.append(ds.records[j].label.value)
+            predicted.append(freqs.index(max(freqs)))
+            probs.append(freqs)
+    return actual, predicted, probs, warnings
 
 
 def same_tree(a: TreeNode, b: TreeNode) -> bool:

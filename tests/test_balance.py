@@ -5,9 +5,7 @@ import numpy as np
 import pytest
 
 from solvtree import (
-    CLASS_ALPHABET,
     BalanceTargets,
-    CompanyRecord,
     Dataset,
     GeneratorSpec,
     SolvencyClass,
@@ -21,31 +19,7 @@ from solvtree import (
 )
 from solvtree import balance
 
-from oracles import make_dataset
-
-
-def _smote_reference(ds, targets, k, seed):
-    """SMOTE with every neighbour list rebuilt from records, one pool per visited member."""
-    y = ds.label_indices()
-    out = list(ds.records)
-    for cls in CLASS_ALPHABET:
-        members = [ds.records[i] for i in np.flatnonzero(y == cls.value)]
-        deficit = targets[cls.value] - len(members)
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=[seed, cls.value]))
-        for t in range(deficit):
-            s = t % len(members)
-            base = members[s]
-            pool = members[:s] + members[s + 1 :]
-            q = np.array([base.value(a) for a in ds.schema])
-            P = np.array([[r.value(a) for a in ds.schema] for r in pool])
-            d = np.sqrt(((P - q) ** 2).sum(axis=1))
-            neighbors = [pool[int(i)] for i in np.argsort(d, kind="stable")[:k]]
-            other = neighbors[int(rng.integers(len(neighbors)))]
-            u = float(rng.random())
-            values = tuple(a + u * (b - a) for a, b in zip(base.values, other.values))
-            car = base.car + u * (other.car - base.car)
-            out.append(CompanyRecord(None, None, None, None, car, values, cls))
-    return out
+from oracles import make_dataset, reference_smote
 
 
 def _scalar_draws(entropy, nn, count):
@@ -232,7 +206,7 @@ class TestSmoteReference:
         # deficits below the class size, several times it, and zero
         targets = (counts[0] + 5, counts[1] * 4, counts[2] + 1, counts[3])
         assert smote(ds, targets, k_neighbors=k, seed=3).records == tuple(
-            _smote_reference(ds, targets, k, seed=3)
+            reference_smote(ds, targets, k, seed=3)
         )
 
     def test_narrowed_schema_matches_reference(self):
@@ -242,7 +216,7 @@ class TestSmoteReference:
             counts = class_distribution(ds)
             targets = tuple(c + extra for c, extra in zip(counts, (3, 17, 0, 30)))
             assert smote(ds, targets, k_neighbors=3, seed=8).records == tuple(
-                _smote_reference(ds, targets, 3, seed=8)
+                reference_smote(ds, targets, 3, seed=8)
             )
 
     def test_class_of_several_chunks_matches_reference(self):
@@ -255,7 +229,7 @@ class TestSmoteReference:
         counts = class_distribution(ds)
         targets = (counts[0] + 330, counts[1] + 7, counts[2], counts[3] + 12)
         assert smote(ds, targets, k_neighbors=4, seed=6).records == tuple(
-            _smote_reference(ds, targets, 4, seed=6)
+            reference_smote(ds, targets, 4, seed=6)
         )
 
     @pytest.mark.parametrize("schema", [("V3", "V7", "V10"), tuple(f"V{i}" for i in range(1, 12))])
@@ -274,7 +248,7 @@ class TestSmoteReference:
         ds = make_dataset(rows, [0] * 6 + [3, 3], schema=("V1",))
         targets = (20, 0, 0, 5)
         assert smote(ds, targets, k_neighbors=2, seed=1).records == tuple(
-            _smote_reference(ds, targets, 2, seed=1)
+            reference_smote(ds, targets, 2, seed=1)
         )
 
 

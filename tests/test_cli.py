@@ -1061,6 +1061,29 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         assert load_csv(out).values.max() > 1.4e308
 
+    @pytest.mark.parametrize("seed_var, argv, message", [
+        ("x", ["balance", "--input", "BAD_CSV", "--mode", "resample", "-o", "OUT"], "SOLVTREE_SEED must be an integer"),
+        ("x", ["cross-validate", "--input", "BAD_CSV", "--report", "OUT"], "SOLVTREE_SEED must be an integer"),
+        (None, ["cross-validate", "--input", "BAD_CSV", "--balance-mode", "smote", "--report", "OUT"],
+         "smote balancing needs --targets"),
+        (None, ["evaluate", "--model", "BAD_MODEL", "--test", "MISSING", "--report", "OUT"], "input file not found"),
+        (None, ["predict", "--model", "BAD_MODEL", "--input", "MISSING", "-o", "OUT"], "input file not found"),
+    ], ids=["balance seed variable", "cross-validate seed variable", "smote without targets", "evaluate", "predict"])
+    def test_a_usage_fault_wins_and_nothing_is_written(self, seed_var, argv, message, tmp_path, capsys, monkeypatch):
+        # each run also has a data fault (a bad CSV or model text), which a usage fault must precede
+        bad_csv, bad_model, out = tmp_path / "bad.csv", tmp_path / "bad.tree", tmp_path / "out"
+        bad_csv.write_text("company_id,year\nA,2001\n", encoding="utf-8")
+        bad_model.write_text("not a model\n", encoding="utf-8")
+        if seed_var is None:
+            monkeypatch.delenv("SOLVTREE_SEED", raising=False)
+        else:
+            monkeypatch.setenv("SOLVTREE_SEED", seed_var)
+        names = {"BAD_CSV": bad_csv, "BAD_MODEL": bad_model, "MISSING": tmp_path / "missing.csv", "OUT": out}
+        code, stdout, err = _run(capsys, *(str(names.get(a, a)) for a in argv))
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: {message}")
+        assert not out.exists()
+
     def test_malformed_csv_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("company_id,year\nA,2001\n", encoding="utf-8")

@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from solvtree import (
     CLASS_ALPHABET,
@@ -29,11 +30,11 @@ from solvtree import (
     summary_lines,
 )
 
-from solvtree import evaluate
+from solvtree import _fork, evaluate
 from solvtree._fork import FORK_MIN_ROWS
 
 from forks import _assert_no_child_left, _count_forks, _cpus
-from oracles import make_dataset
+from oracles import make_dataset, reference_cross_validate
 
 
 class TestMetrics:
@@ -367,6 +368,60 @@ class TestForkedFolds:
         finally:
             signal.signal(signal.SIGCHLD, previous)
         assert summary_lines(forked) == summary_lines(serial)
+        _assert_no_child_left()
+
+
+def _pooled_run(ds, k, params, balance, seed, cpus: int):
+    """cross_validate's report and the (actual, predicted, probs, warnings) it pooled, on ``cpus`` usable CPUs
+    with the row gate of the forked map lowered to 1, and the forks it made."""
+    pooled = []
+
+    def report_from(*args):
+        pooled.append(args)
+        return report_from_predictions(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluate, "report_from_predictions", report_from)
+        mp.setattr(_fork, "FORK_MIN_ROWS", 1)
+        _cpus(mp, cpus)
+        forks = _count_forks(mp)
+        report = cross_validate(ds, k, params, balance, seed)
+    return report, pooled[0], len(forks)
+
+
+_TIE_HEAVY = st.integers(1, 3).flatmap(lambda k: st.lists(
+    st.tuples(st.tuples(*[st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.5])] * k), st.integers(0, 3)),
+    min_size=4, max_size=20))
+
+
+class TestReferencePipeline:
+    """cross_validate against ``oracles.reference_cross_validate``, which composes the per-record
+    references of each stage: the same pooled rows and the same report bytes, serially and forked."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(
+        _TIE_HEAVY, st.integers(2, 4), st.integers(1, 3), st.none() | st.integers(0, 3),
+        st.sampled_from([0.05, 0.25, 0.5]),
+        st.none() | st.builds(
+            lambda targets, k_neighbors: BalanceTargets("smote", target_counts=targets, k_neighbors=k_neighbors),
+            st.tuples(*[st.just(0) | st.integers(1, 12)] * 4), st.integers(1, 4),  # 0 asks nothing of a class
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_reference_pipeline(self, rows_labels, k, min_leaf, max_depth, cf, balance, seed):
+        rows, labels = map(list, zip(*rows_labels))
+        ds = make_dataset(rows, labels)
+        params = LearnerParams(cf, min_leaf, max_depth)
+        expected = reference_cross_validate(ds, k, params, balance, seed)
+        reference = report_from_predictions(*expected)
+        for cpus in (1, 3):
+            report, (actual, predicted, probs, notes), forks = _pooled_run(ds, k, params, balance, seed, cpus)
+            assert forks == min(k, cpus) - 1
+            assert actual.tolist() == expected[0]
+            assert list(zip(predicted.tolist(), probs.tolist())) == list(zip(expected[1], expected[2]))
+            assert list(notes) == expected[3]
+            # MAE and RMSE are compared as the report prints them: their bits follow numpy's summation order
+            assert render_report(report) + summary_lines(report) == render_report(reference) + summary_lines(reference)
         _assert_no_child_left()
 
 

@@ -123,6 +123,24 @@ class TestPessimisticError:
         p, p_next = invert_binomial_tail(e, n, cf), invert_binomial_tail(e + 1, n, cf)
         assert 0.0 < p < p_next < 1.0
 
+    @pytest.mark.parametrize("e, n, cf", [(1, 2, 1e-20), (99999, 100000, 1e-12)])
+    def test_tail_inversion_returns_one_when_the_root_rounds_to_it(self, e, n, cf):
+        # no float lies between the bracket's ends, so the search returns the upper end
+        assert invert_binomial_tail(e, n, cf) == 1.0
+
+    def test_tail_inversion_at_cf_1e_20_stays_in_unit_interval_and_never_decreases(self):
+        for n in range(2, 60):
+            p = [invert_binomial_tail(e, n, 1e-20) for e in range(n)]
+            assert all(0.0 < v <= 1.0 for v in p), n
+            assert p == sorted(p), n
+
+    def test_grow_completes_at_cf_1e_20(self):
+        ds = generate(GeneratorSpec((20, 8, 8, 44), separation=1.0, seed=3))
+        params = LearnerParams(confidence_factor=1e-20)
+        model = grow(ds, params)
+        assert same_tree(model.root, reference_prune(grow_unpruned(ds, params).root, 1e-20))
+        assert parse(serialize(model)) == model
+
     def test_import_and_cli_leave_scipy_unloaded(self):
         env = {**os.environ, "PYTHONPATH": str(Path(solvtree.__file__).resolve().parents[1])}
         for args in (["-c", "import solvtree"], ["-m", "solvtree.cli", "--help"]):
