@@ -15,6 +15,7 @@ from .dataset import (
     CompanyRecord,
     Dataset,
     SolvencyClass,
+    _ATTR_INDEX,
     _check_int,
     _class_counts,
     _real,
@@ -199,7 +200,7 @@ def smote(
                 f"class {cls.csv_name} needs at least 2 members to synthesize, has {have}"
             )
     parts = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0),)]  # base, neighbor and fraction rows
-    columns = [ATTRIBUTE_NAMES.index(a) for a in ds.schema]
+    columns = [_ATTR_INDEX[a] for a in ds.schema]
     for cls in CLASS_ALPHABET:
         deficit = request.target_counts[cls.value] - counts[cls.value]
         if deficit == 0:
@@ -230,7 +231,4 @@ def smote(
         out += a
         return out
 
-    no_id, no_money = np.full(len(u), None), np.full(len(u), np.nan)  # company_id/year, tca/tcr
-    synthetic = (no_id, no_id, no_money, no_money, interpolate(ds.car, u),
-                 interpolate(ds.values, u[:, None]), ds.y[base])
-    return Dataset._of(ds.schema, *map(np.concatenate, zip(ds._columns(), synthetic)))
+    return ds._append(car=interpolate(ds.car, u), values=interpolate(ds.values, u[:, None]), y=ds.y[base])

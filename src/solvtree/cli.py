@@ -219,8 +219,7 @@ def _cmd_generate(args) -> None:
 
 def _cmd_label(args) -> None:
     ds = _dataset(args)
-    relabeled = Dataset._of(ds.schema, *ds._columns()[:-1], _car_bands(ds.car))  # a new y column
-    _write_dataset(relabeled, args.output)
+    _write_dataset(ds._with(y=_car_bands(ds.car)), args.output)
 
 
 def _cmd_select_features(args) -> None:

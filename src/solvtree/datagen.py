@@ -7,13 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import ATTRIBUTE_NAMES, CLASS_ALPHABET, MODERATE_MIN_CAR, N_CLASSES, STRONG_MIN_CAR, WEAK_MIN_CAR
+from .dataset import ATTRIBUTE_NAMES, MODERATE_MIN_CAR, N_CLASSES, STRONG_MIN_CAR, WEAK_MIN_CAR
 from .dataset import Dataset, _check_int, _class_counts, _is_int, _real
 
 # CAR draw ranges per band, between the band edges; the insolvency band is
 # floored at 40 and the open-ended strong band capped at 300 so draws stay bounded.
 _CAR_EDGES = (40.0, WEAK_MIN_CAR, MODERATE_MIN_CAR, STRONG_MIN_CAR, 300.0)
-_CAR_BANDS = {cls: _CAR_EDGES[cls.value : cls.value + 2] for cls in CLASS_ALPHABET}
 
 
 @dataclass(frozen=True)
@@ -56,15 +55,12 @@ def generate(spec: GeneratorSpec) -> Dataset:
     y = np.repeat(np.arange(N_CLASSES), spec.class_counts)
     means = np.zeros((N_CLASSES, len(ATTRIBUTE_NAMES)))
     means[:, :informative] = np.arange(N_CLASSES)[:, None] * spec.separation
-    bands = [_CAR_BANDS[c] for c in CLASS_ALPHABET]
     values = np.empty((len(y), len(ATTRIBUTE_NAMES)))
     car = np.empty(len(y))
     for i, c in enumerate(y.tolist()):
         values[i] = rng.standard_normal(len(ATTRIBUTE_NAMES))
-        car[i] = rng.uniform(*bands[c])
+        car[i] = rng.uniform(*_CAR_EDGES[c : c + 2])
     for rows, mean in zip(np.split(values, np.cumsum(spec.class_counts)[:-1]), means):
         rows += mean  # rng.normal computes mean + 1.0 * z, the same sum
-    absent = np.full(len(y), np.nan)  # tca and tcr
-    ids = list(map("C{:04d}".format, range(len(y))))
-    years = (2000 + np.arange(len(y)) % 9).tolist()
-    return Dataset._of(ATTRIBUTE_NAMES[: spec.n_attributes], ids, years, absent, absent, car, values, y)
+    return Dataset._of(ATTRIBUTE_NAMES[: spec.n_attributes], company_id=list(map("C{:04d}".format, range(len(y)))),
+                       year=(2000 + np.arange(len(y)) % 9).tolist(), car=car, values=values, y=y)

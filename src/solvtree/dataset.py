@@ -215,9 +215,9 @@ def _check_schema(names: Sequence[str]) -> None:
             raise ValueError(f"duplicate attribute {name!r} in schema")
 
 
-#: Dataset columns and their dtypes; absent entries are None (objects) or NaN (floats).
-_COLUMNS = {"company_id": object, "year": object, "tca": float, "tcr": float,
-            "car": float, "values": float, "y": np.int64}
+#: Dataset columns, each as a 0-d array of its dtype that holds the entry of a row where it is absent.
+_COLUMNS = dict(company_id=np.array(None), year=np.array(None), tca=np.array(math.nan), tcr=np.array(math.nan),
+                car=np.array(math.nan), values=np.array(math.nan), y=np.array(-1, dtype=np.int64))
 
 
 class Dataset:
@@ -227,39 +227,45 @@ class Dataset:
     synthetic rows), ``tca`` and ``tcr`` (NaN where absent), ``car``,
     ``values`` of shape (n, 11) with all eleven ratios in ``ATTRIBUTE_NAMES``
     order whatever the schema, and ``y``, the class index (-1 unlabeled).
-    Columns are read-only, and :meth:`take` is the one way to select rows.
-    The schema is an ordered subset of V1..V11, so narrowing it never
-    touches the rows. ``Dataset(records, schema)`` builds the columns from
-    records; :attr:`records` builds records from the columns on first use.
+    Columns are read-only and built by name: one left out, bar ``car`` and
+    ``values``, is absent in every row. :meth:`take` is the one way to select
+    rows. The schema, an ordered subset of V1..V11, never touches the rows.
     """
 
     def __init__(self, records: Iterable[CompanyRecord], schema: Sequence[str] = ATTRIBUTE_NAMES):
         records = tuple(records)
         self._set(
-            schema, [r.company_id for r in records], [r.year for r in records],
-            [r.tca for r in records], [r.tcr for r in records], [r.car for r in records],
-            np.reshape([r.values for r in records], (len(records), len(ATTRIBUTE_NAMES))),
-            [-1 if r.label is None else r.label.value for r in records],
+            schema, company_id=[r.company_id for r in records], year=[r.year for r in records],
+            tca=[r.tca for r in records], tcr=[r.tcr for r in records], car=[r.car for r in records],
+            values=np.reshape([r.values for r in records], (len(records), len(ATTRIBUTE_NAMES))),
+            y=[-1 if r.label is None else r.label.value for r in records],
         )
         self.records = records
 
     @classmethod
-    def _of(cls, schema: Sequence[str], *columns) -> "Dataset":
-        """A dataset on the given columns, in ``_COLUMNS`` order."""
-        ds = cls.__new__(cls)
-        ds._set(schema, *columns)
-        return ds
+    def _of(cls, schema: Sequence[str], **columns) -> "Dataset":
+        return cls.__new__(cls)._set(schema, **columns)
 
-    def _set(self, schema: Sequence[str], *columns) -> None:
+    def _set(self, schema: Sequence[str], **columns) -> "Dataset":
         self.schema = tuple(schema)
         _check_schema(self.schema)
-        for (name, dtype), column in zip(_COLUMNS.items(), columns, strict=True):
-            column = np.asarray(column, dtype=dtype)
+        for name, absent in _COLUMNS.items():  # an absent column is a view of one entry: it allocates no rows
+            column = np.asarray(columns.get(name, np.broadcast_to(absent, len(columns["car"]))), absent.dtype)
             column.flags.writeable = False
             setattr(self, name, column)
+        return self
 
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        return tuple(getattr(self, name) for name in _COLUMNS)
+    def _columns(self) -> dict[str, np.ndarray]:
+        return {name: getattr(self, name) for name in _COLUMNS}
+
+    def _with(self, **changes) -> "Dataset":
+        """This dataset with the schema or the columns named in ``changes`` in place of its own."""
+        return Dataset._of(**{"schema": self.schema, **self._columns(), **changes})
+
+    def _append(self, **columns) -> "Dataset":
+        """These rows, then the rows of the named columns as :meth:`_of` reads them."""
+        more = Dataset._of(self.schema, **columns)._columns()
+        return self._with(**{name: np.concatenate((c, more[name])) for name, c in self._columns().items()})
 
     @cached_property
     def records(self) -> tuple[CompanyRecord, ...]:
@@ -268,7 +274,7 @@ class Dataset:
             CompanyRecord(company_id, year, None if math.isnan(tca) else tca,
                           None if math.isnan(tcr) else tcr, car, values,
                           None if y < 0 else CLASS_ALPHABET[y])
-            for company_id, year, tca, tcr, car, values, y in zip(*(c.tolist() for c in self._columns()))
+            for company_id, year, tca, tcr, car, values, y in zip(*(c.tolist() for c in self._columns().values()))
         )
 
     def __len__(self) -> int:
@@ -276,7 +282,7 @@ class Dataset:
 
     def take(self, rows) -> "Dataset":
         """The rows at ``rows``, an index array or a boolean mask, in that order."""
-        return Dataset._of(self.schema, *(c[rows] for c in self._columns()))
+        return self._with(**{name: c[rows] for name, c in self._columns().items()})
 
     def matrix(self) -> np.ndarray:
         """Attribute values in schema order, shape (n, k): a column slice of ``values``."""
@@ -290,7 +296,7 @@ class Dataset:
         return self.y.copy()
 
     def with_schema(self, schema: Sequence[str]) -> "Dataset":
-        return Dataset._of(schema, *self._columns())
+        return self._with(schema=schema)
 
 
 def class_distribution(ds: Dataset) -> tuple[int, int, int, int]:
@@ -532,11 +538,10 @@ def load_csv(source, expect_labels: bool = False, allow_duplicates: bool = False
             values.extend(row_values)
             labels.append(label)
     ids, years, tcas, tcrs, cars = zip(*heads) if heads else [()] * 5
-    car_column = np.array(cars, dtype=float)
-    if not has_class:
-        labels = _car_bands(car_column) if expect_labels else np.full(len(heads), -1)
-    return Dataset._of(ATTRIBUTE_NAMES, ids, years, tcas, tcrs, car_column,
-                       np.array(values).reshape(-1, len(ATTRIBUTE_NAMES)), labels)
+    if expect_labels and not has_class:  # otherwise a classless row keeps the -1 that _row gives it
+        labels = _car_bands(cars)
+    return Dataset._of(ATTRIBUTE_NAMES, company_id=ids, year=years, tca=tcas, tcr=tcrs, car=cars,
+                       values=np.array(values).reshape(-1, len(ATTRIBUTE_NAMES)), y=labels)
 
 
 #: Rows formatted per block by :func:`write_csv`; bounds its temporaries.

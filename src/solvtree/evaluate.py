@@ -45,13 +45,24 @@ class ConfusionMatrix:
 
 @dataclass(frozen=True)
 class EvalReport:
+    """Scores of pooled predictions; ``n``, recalls and accuracy are read from the matrix (NaN on no rows)."""
+
     matrix: ConfusionMatrix
-    per_class_recall: tuple[float, float, float, float]
-    overall_accuracy: float
     mae: float
     rmse: float
-    n: int
     warnings: tuple[str, ...] = ()
+
+    @property
+    def n(self) -> int:
+        return self.matrix.total
+
+    @property
+    def per_class_recall(self) -> tuple[float, float, float, float]:
+        return tuple((self.matrix.cells[c][c] / rs) if rs else math.nan for c, rs in enumerate(self.matrix.row_sums()))
+
+    @property
+    def overall_accuracy(self) -> float:
+        return self.matrix.trace / self.n if self.n else math.nan
 
 
 def mae(predicted_probs, actual) -> float:
@@ -103,15 +114,8 @@ def report_from_predictions(
     p_idx = _as_label_indices(predicted)
     if len(a_idx) != len(p_idx):
         raise ValueError("actual and predicted lengths differ")
-    n = len(a_idx)
     cells = np.bincount(a_idx * N_CLASSES + p_idx, minlength=N_CLASSES * N_CLASSES)
-    matrix = ConfusionMatrix(cells.reshape(N_CLASSES, N_CLASSES))
-    recalls = tuple(
-        (matrix.cells[c][c] / rs) if rs else math.nan
-        for c, rs in enumerate(matrix.row_sums())
-    )
-    accuracy = matrix.trace / n if n else math.nan
-    return EvalReport(matrix, recalls, accuracy, *_residual_means(probs, a_idx), n, tuple(warnings))
+    return EvalReport(ConfusionMatrix(cells.reshape(N_CLASSES, -1)), *_residual_means(probs, a_idx), tuple(warnings))
 
 
 def stratified_folds(ds: Dataset, k: int, seed: int) -> list[list[int]]:

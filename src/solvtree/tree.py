@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, partial
-from math import exp, inf, lgamma, log, log1p, nextafter, pi, sqrt
+from math import exp, inf, isfinite, lgamma, log, log1p, nextafter, pi, sqrt
 from operator import add
 from statistics import NormalDist
 from typing import Iterable, Union
@@ -18,7 +18,7 @@ from typing import Iterable, Union
 import numpy as np
 
 from .dataset import CLASS_ALPHABET, N_CLASSES, CompanyRecord, Dataset, SolvencyClass
-from .dataset import _check_int, _real, _sum_in_order, attribute_column
+from .dataset import _check_int, _check_schema, _is_int, _real, _sum_in_order, attribute_column
 from ._fork import _map
 
 # Score comparisons treat differences within this slack as ties so exact
@@ -47,13 +47,13 @@ class LearnerParams:
 
 @dataclass(frozen=True)
 class Leaf:
-    class_counts: tuple[int, int, int, int]
-    predicted: SolvencyClass  # the first majority class of class_counts
+    """A leaf's training class counts; it predicts the first majority class of them."""
 
-    def __post_init__(self) -> None:
-        majority = _leaf_class(tuple(self.class_counts))
-        if self.predicted != majority:
-            raise ValueError(f"a leaf of counts {self.class_counts} predicts {majority!r}, not {self.predicted!r}")
+    class_counts: tuple[int, int, int, int]
+
+    @property
+    def predicted(self) -> SolvencyClass:
+        return _leaf_class(tuple(self.class_counts))
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,8 @@ class _Tree:
         """The Leaf/Split tree, built in one reverse pass."""
         built: list = [None] * len(self.end)
         for i, attribute in reversed(list(enumerate(self.attribute))):
-            if attribute:
-                built[i] = Split(attribute, self.threshold[i], built[i + 1], built[self.end[i + 1]])
-            else:
-                built[i] = Leaf(self.counts[i], _leaf_class(self.counts[i]))
+            built[i] = (Split(attribute, self.threshold[i], built[i + 1], built[self.end[i + 1]]) if attribute
+                        else Leaf(self.counts[i]))
         return built[0]
 
 
@@ -108,8 +106,19 @@ def _link(nodes: Iterable[tuple[str, float, tuple[int, ...]]]) -> _Tree:
     return _Tree(tuple(attribute), tuple(threshold), tuple(counts), tuple(end))
 
 
-def _flatten(root: TreeNode) -> _Tree:
-    """The pre-order nodes of a Leaf/Split tree, walked on an explicit stack."""
+def _check_node(schema: tuple[str, ...], attribute: str, threshold, counts: tuple, error=ValueError) -> None:
+    """Raise ``error`` of a message unless a pre-order node fits a model on ``schema``: a split names a schema
+    attribute and has a finite real threshold; a leaf ("" attribute) has four non-negative integer counts, not all 0."""
+    if attribute and attribute not in schema:
+        raise error(f"split attribute {attribute!r} not in schema")
+    if attribute and not isfinite(_real("threshold", threshold)):  # grown trees split between finite values only
+        raise error(f"non-finite threshold {threshold!r}")
+    if not attribute and not (len(counts) == N_CLASSES and all(_is_int(c) and c >= 0 for c in counts) and sum(counts)):
+        raise error(f"leaf counts must be {N_CLASSES} non-negative integers with a positive total")
+
+
+def _flatten(root: TreeNode, schema: tuple[str, ...] | None = None) -> _Tree:
+    """The pre-order nodes of a Leaf/Split tree, walked on an explicit stack; each checked if a ``schema`` is given."""
     nodes, stack = [], [root]
     while stack:
         node = stack.pop()
@@ -118,20 +127,23 @@ def _flatten(root: TreeNode) -> _Tree:
         else:
             nodes.append((node.attribute, node.threshold, ()))
             stack += (node.right, node.left)
+        if schema is not None:
+            _check_node(schema, *nodes[-1])
     return _link(nodes)
 
 
 @dataclass(frozen=True)
 class TreeModel:
-    """A fitted tree. A Leaf/Split root given here is flattened once; :attr:`root` is built on first use."""
+    """A fitted tree. A Leaf/Split root given here is checked and flattened once; :attr:`root` is built on first use."""
 
     _tree: _Tree
     params: LearnerParams
     schema: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self._tree, _Tree):
-            object.__setattr__(self, "_tree", _flatten(self._tree))
+        if not isinstance(self._tree, _Tree):  # grown, pruned and parsed trees come as a _Tree, valid as made
+            _check_schema(self.schema)
+            object.__setattr__(self, "_tree", _flatten(self._tree, self.schema))
 
     @property
     def training_fingerprint(self) -> tuple[int, tuple[int, int, int, int]]:

@@ -5,12 +5,11 @@ Both walk a model's pre-order nodes in order; ``parse`` links node lines in one 
 
 from __future__ import annotations
 
-import math
 from pathlib import Path
 from typing import Iterator
 
 from .dataset import N_CLASSES, _check_schema, _plain_float, _plain_int
-from .tree import LearnerParams, TreeModel, _leaf_class, _link
+from .tree import LearnerParams, TreeModel, _check_node, _leaf_class, _link
 
 FORMAT_LINE = "solvtree-tree 1"
 
@@ -43,7 +42,7 @@ def serialize(model: TreeModel) -> str:
 
 class _LineReader:
     def __init__(self, text: str):
-        self.lines = text.splitlines()
+        self.lines = text.replace("\r\n", "\n").removesuffix("\n").split("\n") if text else []
         self.pos = 0  # lines read so far, which is also the 1-based number of the last one
 
     def next(self, what: str) -> str:
@@ -85,27 +84,23 @@ def _read_node_line(reader: _LineReader, schema: tuple[str, ...]) -> tuple[str, 
             counts = tuple(_plain_int(p) for p in parts[1:])
         except ValueError:
             raise ModelFormatError(f"non-integer leaf count in {line!r}", at) from None
-        if any(c < 0 for c in counts) or sum(counts) < 1:
-            raise ModelFormatError("leaf counts must be non-negative with a positive total", at)
-        return "", 0.0, counts
-    if parts and parts[0] == "split":
+        node = "", 0.0, counts
+    elif parts and parts[0] == "split":
         if len(parts) != 3:
             raise ModelFormatError(f"split line must be 'split <attr> <threshold>', found {line!r}", at)
-        if parts[1] not in schema:
-            raise ModelFormatError(f"split attribute {parts[1]!r} not in schema", at)
         try:
-            threshold = _plain_float(parts[2])
+            node = parts[1], _plain_float(parts[2]), ()
         except ValueError:
             raise ModelFormatError(f"non-numeric threshold {parts[2]!r}", at) from None
-        if not math.isfinite(threshold):  # grown trees split between finite values only
-            raise ModelFormatError(f"non-finite threshold {parts[2]!r}", at)
-        return parts[1], threshold, ()
-    raise ModelFormatError(f"expected a 'split' or 'leaf' line, found {line!r}", at)
+    else:
+        raise ModelFormatError(f"expected a 'split' or 'leaf' line, found {line!r}", at)
+    _check_node(schema, *node, error=lambda message: ModelFormatError(message, at))
+    return node
 
 
 def parse(text: str) -> TreeModel:
-    """Inverse of :func:`serialize`, whose text alone loads (with ``\\n`` or ``\\r\\n`` line ends);
-    raises ModelFormatError with the line number."""
+    """Inverse of :func:`serialize`, whose text alone loads, its lines ended by ``\\n`` or ``\\r\\n`` only (the
+    last one optionally); raises ModelFormatError with the line number."""
     reader = _LineReader(text)
     first = reader.next("format line")
     if first != FORMAT_LINE:
@@ -174,4 +169,4 @@ def write_model(model: TreeModel, path) -> None:
 
 
 def read_model(path) -> TreeModel:
-    return parse(Path(path).read_text(encoding="utf-8"))
+    return parse(Path(path).read_bytes().decode("utf-8"))  # no newline translation: a lone \r stays

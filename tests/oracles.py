@@ -157,10 +157,7 @@ def brute_force_best_subset(ds, view, merit_fn, max_size=None):
 
 
 def _leaf_from_counts(counts) -> Leaf:
-    counts = tuple(int(c) for c in counts)
-    # argmax takes the first maximum, which is the class-alphabet tie-break
-    predicted = CLASS_ALPHABET[int(np.argmax(counts))]
-    return Leaf(counts, predicted)
+    return Leaf(tuple(int(c) for c in counts))
 
 
 def reference_grow(rows, labels, min_leaf: int = 2, max_depth: int | None = None) -> TreeNode:

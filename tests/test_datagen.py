@@ -15,7 +15,7 @@ from solvtree import (
     write_csv,
 )
 
-from solvtree.datagen import _CAR_BANDS
+from solvtree.datagen import _CAR_EDGES
 
 from oracles import oracle_depth_limited_correct
 
@@ -76,7 +76,7 @@ def _generate_per_record(spec):
     for cls, count in zip(SolvencyClass, spec.class_counts):
         for _ in range(count):
             values.append(rng.normal(means * cls.value * spec.separation, 1.0))
-            car.append(rng.uniform(*_CAR_BANDS[cls]))
+            car.append(rng.uniform(_CAR_EDGES[cls.value], _CAR_EDGES[cls.value + 1]))
     return np.reshape(values, (-1, len(ATTRIBUTE_NAMES))), np.array(car)
 
 

@@ -23,12 +23,14 @@ from solvtree import (
     generate,
     label_from_car,
     load_csv,
+    resample,
     smote,
     stratified_folds,
     stratified_split,
     write_csv,
 )
 
+import solvtree.cli
 from solvtree.dataset import CSV_BASE_COLUMNS, _row, _sum_in_order
 
 from oracles import make_dataset, reference_row
@@ -420,7 +422,7 @@ class TestCsvFuzz:
                 writer.writerow([r.company_id, r.year, r.tca, r.tcr, r.car, *r.values, "strong"])
             assert text == reference.getvalue()
         loaded = load_csv(io.StringIO(text))
-        for old, new in zip(ds._columns(), loaded._columns(), strict=True):
+        for old, new in zip(ds._columns().values(), loaded._columns().values(), strict=True):
             assert old.tobytes() == new.tobytes() if old.dtype != object else old.tolist() == new.tolist()
 
     @given(
@@ -511,6 +513,64 @@ class TestColumnarDataset:
         ds.matrix()[0, 0] = 1.0  # a copy
         ds.label_indices()[0] = 2  # a copy
         assert ds.y[0] == 0
+
+
+# two synthetic rows, without money or class: every column that can be absent is
+_BARE_CSV = ",".join(CSV_BASE_COLUMNS) + "\n" + "".join(f",,,,{car}{f',{car / 100}' * 11}\n" for car in (99.0, 130.0))
+
+
+def _bare() -> Dataset:
+    return load_csv(io.StringIO(_BARE_CSV))
+
+
+def _labeled_by_cli(tmp_path, monkeypatch) -> Dataset:
+    path = tmp_path / "bare.csv"
+    path.write_text(_BARE_CSV, encoding="utf-8")
+    written = []
+    monkeypatch.setattr(solvtree.cli, "_write_dataset", lambda ds, _: written.append(ds))
+    assert solvtree.cli.main(["label", "--input", str(path), "-o", str(tmp_path / "out.csv")]) == 0
+    return written[0]
+
+
+def _smote_output() -> Dataset:
+    ds = generate(GeneratorSpec((3, 3, 3, 3), seed=2))
+    return smote(ds, (5, 3, 4, 3), k_neighbors=2)
+
+
+# producer -> (its dataset, the rows to look at, the columns absent in each of them)
+_PRODUCERS = {
+    "generate": lambda *_: (generate(GeneratorSpec((2, 1, 1, 2), seed=1)), slice(None), {"tca", "tcr"}),
+    "smote synthetic rows": lambda *_: (_smote_output(), slice(12, None), {"company_id", "year", "tca", "tcr"}),
+    "resample": lambda *_: (resample(generate(GeneratorSpec((2, 1, 1, 2), seed=1)), seed=3), slice(None), {"tca", "tcr"}),
+    "load_csv classless": lambda *_: (_bare(), slice(None), {"company_id", "year", "tca", "tcr", "y"}),
+    "solvtree label": lambda *args: (_labeled_by_cli(*args), slice(None), {"company_id", "year", "tca", "tcr"}),
+    "take": lambda *_: (_bare().take(np.array([1, 0, 1])), slice(None), {"company_id", "year", "tca", "tcr", "y"}),
+    "with_schema": lambda *_: (_bare().with_schema(("V2",)), slice(None), {"company_id", "year", "tca", "tcr", "y"}),
+    "Dataset(records)": lambda *_: (Dataset(_bare().records), slice(None), {"company_id", "year", "tca", "tcr", "y"}),
+}
+
+_ABSENT = {"company_id": None, "year": None, "y": -1}  # tca and tcr read NaN
+
+
+class TestColumnContract:
+    @pytest.mark.parametrize("producer", list(_PRODUCERS))
+    def test_columns_are_read_only_and_absent_entries_read_as_documented(self, producer, tmp_path, monkeypatch):
+        ds, rows, absent = _PRODUCERS[producer](tmp_path, monkeypatch)
+        columns = {name: getattr(ds, name) for name in ("company_id", "year", "tca", "tcr", "car", "values", "y")}
+        assert len(ds) > 0 and rows.indices(len(ds))[0] < len(ds)
+        for name, column in columns.items():
+            assert not column.flags.writeable, name
+            with pytest.raises(ValueError):
+                column[0] = column[1]
+        for name in absent:
+            entries = columns[name][rows].tolist()
+            if name in _ABSENT:
+                assert all(entry is _ABSENT[name] or entry == _ABSENT[name] for entry in entries), name
+            else:
+                assert all(math.isnan(entry) for entry in entries), name
+        for name in columns.keys() - absent - {"car", "values"}:
+            entries = columns[name][rows].tolist()
+            assert not any(entry is None or entry == -1 or entry != entry for entry in entries), name
 
 
 class TestSumInOrder:

@@ -177,10 +177,9 @@ class TestPessimisticError:
 
 class TestLeaf:
     def test_predicted_class_is_the_first_majority(self):
-        assert Leaf((3, 3, 0, 0), SolvencyClass.INSOLVENCY).predicted is SolvencyClass.INSOLVENCY
-        for counts, predicted in [((1, 5, 0, 0), SolvencyClass.STRONG), ((3, 3, 0, 0), SolvencyClass.WEAK)]:
-            with pytest.raises(ValueError, match="predicts"):
-                Leaf(counts, predicted)
+        assert Leaf((3, 3, 0, 0)).predicted is SolvencyClass.INSOLVENCY
+        assert Leaf((1, 5, 0, 0)).predicted is SolvencyClass.WEAK
+        assert Leaf((0, 0, 2, 2)).predicted is SolvencyClass.MODERATE
 
 
 class TestBestSplit:
@@ -583,17 +582,17 @@ class TestPrune:
     def test_same_majority_children_collapse(self):
         subtree = Split(
             "V1", 0.5,
-            Leaf((3, 1, 0, 0), SolvencyClass.INSOLVENCY),
-            Leaf((4, 1, 0, 0), SolvencyClass.INSOLVENCY),
+            Leaf((3, 1, 0, 0)),
+            Leaf((4, 1, 0, 0)),
         )
         pruned = prune(subtree, 0.25)
-        assert pruned == Leaf((7, 2, 0, 0), SolvencyClass.INSOLVENCY)
+        assert pruned == Leaf((7, 2, 0, 0))
 
     def test_informative_split_retained(self):
         subtree = Split(
             "V1", 0.5,
-            Leaf((20, 0, 0, 0), SolvencyClass.INSOLVENCY),
-            Leaf((0, 20, 0, 0), SolvencyClass.WEAK),
+            Leaf((20, 0, 0, 0)),
+            Leaf((0, 20, 0, 0)),
         )
         assert prune(subtree, 0.25) == subtree
 
@@ -601,10 +600,10 @@ class TestPrune:
         # an empty child adds 0.0, so the subtree bound equals the leaf bound exactly
         subtree = Split(
             "V1", 0.5,
-            Leaf((0, 0, 0, 0), SolvencyClass.INSOLVENCY),
-            Leaf((3, 1, 0, 0), SolvencyClass.INSOLVENCY),
+            Leaf((0, 0, 0, 0)),
+            Leaf((3, 1, 0, 0)),
         )
-        assert prune(subtree, 0.25) == Leaf((3, 1, 0, 0), SolvencyClass.INSOLVENCY)
+        assert prune(subtree, 0.25) == Leaf((3, 1, 0, 0))
 
     def test_idempotent_on_random_trees(self):
         rng = np.random.default_rng(31)
@@ -639,10 +638,10 @@ class TestPrune:
     def test_deep_chain_prunes_and_counts(self, weight, kept):
         # 3000 splits, each peeling a pure leaf off a mixed right spine; the
         # kept sizes are those of the recursive pass run with a raised limit
-        node = Leaf((weight, 0, 0, weight), SolvencyClass.INSOLVENCY)
+        node = Leaf((weight, 0, 0, weight))
         for i in range(3000):
             pure = (0, 0, 0, weight) if i % 2 else (weight, 0, 0, 0)
-            node = Split("V1", float(3000 - i), Leaf(pure, SolvencyClass(3 if i % 2 else 0)), node)
+            node = Split("V1", float(3000 - i), Leaf(pure), node)
         assert node_count(node) == 6001
         pruned = prune(node, 0.25)
         assert node_count(pruned) == kept
@@ -663,10 +662,10 @@ class TestPrune:
 
 def _peeling_chain(weight: int) -> Split:
     """3000 splits, each peeling a pure leaf off a mixed right spine: 6001 nodes."""
-    node = Leaf((weight, 0, 0, weight), SolvencyClass.INSOLVENCY)
+    node = Leaf((weight, 0, 0, weight))
     for i in range(3000):
         pure = (0, 0, 0, weight) if i % 2 else (weight, 0, 0, 0)
-        node = Split("V1", float(3000 - i), Leaf(pure, SolvencyClass(3 if i % 2 else 0)), node)
+        node = Split("V1", float(3000 - i), Leaf(pure), node)
     return node
 
 
@@ -688,8 +687,8 @@ class TestPruneMatchesReference:
     def test_empty_leaf_tie(self):
         subtree = Split(
             "V1", 0.5,
-            Leaf((0, 0, 0, 0), SolvencyClass.INSOLVENCY),
-            Leaf((3, 1, 0, 0), SolvencyClass.INSOLVENCY),
+            Leaf((0, 0, 0, 0)),
+            Leaf((3, 1, 0, 0)),
         )
         assert prune(subtree, 0.25) == reference_prune(subtree, 0.25)
 
@@ -734,7 +733,7 @@ class TestPreOrderNodes:
 class TestPredict:
     def test_single_leaf_probabilities(self):
         model = TreeModel(
-            Leaf((0, 0, 0, 9), SolvencyClass.STRONG),
+            Leaf((0, 0, 0, 9)),
             LearnerParams(),
             ("V1",),
         )
@@ -763,14 +762,14 @@ class TestPredict:
             assert cls.value == int(np.argmax(probs))
 
     def test_unknown_attribute_rejected(self):
-        model = TreeModel(
-            Split("V99", 0.0, Leaf((1, 0, 0, 0), SolvencyClass.INSOLVENCY),
-                  Leaf((0, 0, 0, 1), SolvencyClass.STRONG)),
-            LearnerParams(),
-            ("V1",),
-        )
         ds = make_dataset([(0.0,)], [0])
         with pytest.raises(ValueError):
+            model = TreeModel(
+                Split("V99", 0.0, Leaf((1, 0, 0, 0)),
+                      Leaf((0, 0, 0, 1))),
+                LearnerParams(),
+                ("V1",),
+            )
             predict(model, ds.records[0])
 
 

@@ -9,7 +9,6 @@ from solvtree import (
     Leaf,
     LearnerParams,
     ModelFormatError,
-    SolvencyClass,
     Split,
     TreeModel,
     grow,
@@ -50,8 +49,8 @@ class TestRoundTrip:
     def test_awkward_threshold_round_trips(self):
         model = TreeModel(
             Split("V3", 1.0 / 3.0,
-                  Leaf((2, 0, 0, 0), SolvencyClass.INSOLVENCY),
-                  Leaf((0, 0, 0, 2), SolvencyClass.STRONG)),
+                  Leaf((2, 0, 0, 0)),
+                  Leaf((0, 0, 0, 2))),
             LearnerParams(confidence_factor=0.1, min_leaf=3, max_depth=7),
             ("V3", "V5"),
         )
@@ -80,6 +79,33 @@ class TestRoundTrip:
         path = tmp_path / "model.tree"
         write_model(model, path)
         assert read_model(path) == model
+
+    # str.splitlines and text-mode reads end a line at each of these; the format ends one at \n or \r\n only
+    @pytest.mark.parametrize("end", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_other_line_ends_are_refused(self, end):
+        text = serialize(_random_model(np.random.default_rng(5)))
+        with pytest.raises(ModelFormatError):
+            parse(text.replace("\n", end))
+
+    def test_render_tree_refuses_a_file_with_cr_line_ends(self, tmp_path, capsys):
+        path = tmp_path / "model.tree"
+        path.write_bytes(serialize(_random_model(np.random.default_rng(5))).replace("\n", "\r").encode())
+        assert main(["render-tree", "--model", str(path)]) == 1
+        assert "unsupported format line" in capsys.readouterr().err
+
+
+class TestHandBuiltModels:
+    """A model built by hand is refused when built, as parse refuses the text serialize would write for it."""
+
+    @pytest.mark.parametrize("root, message", [
+        (Split("V99", 0.0, Leaf((1, 0, 0, 0)), Leaf((0, 0, 0, 1))), "split attribute 'V99' not in schema"),
+        (Split("V1", float("nan"), Leaf((1, 0, 0, 0)), Leaf((0, 0, 0, 1))), "non-finite threshold nan"),
+        (Split("V1", 0.5, Leaf((0, 0, 0, 0)), Leaf((0, 0, 0, 1))), "positive total"),
+        (Leaf((3, -1, 0, 0)), "non-negative"),
+    ], ids=["unknown attribute", "nan threshold", "all-zero leaf", "negative count"])
+    def test_refused_when_built(self, root, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TreeModel(root, LearnerParams(), ("V1",))
 
 
 class TestParseErrors:
@@ -172,7 +198,7 @@ class TestParseErrors:
 
     def test_bad_counts(self):
         model = TreeModel(
-            Leaf((1, 0, 0, 0), SolvencyClass.INSOLVENCY), LearnerParams(), ("V1",)
+            Leaf((1, 0, 0, 0)), LearnerParams(), ("V1",)
         )
         text = serialize(model).replace("leaf 1 0 0 0", "leaf 0 0 0 0")
         with pytest.raises(ModelFormatError, match="positive total"):
@@ -180,7 +206,7 @@ class TestParseErrors:
 
 
 _BASE_TEXTS = [serialize(_random_model(np.random.default_rng(seed))) for seed in (9, 21, 40)] + [
-    serialize(TreeModel(Leaf((3, 0, 0, 1), SolvencyClass.INSOLVENCY), LearnerParams(), ("V2", "V5", "V11")))
+    serialize(TreeModel(Leaf((3, 0, 0, 1)), LearnerParams(), ("V2", "V5", "V11")))
 ]
 _ODD_TOKENS = ["V1", "V2", "V11", "V12", "leaf", "split", "none", "0", "-1", "0.5", "nan", "inf",
                "1e400", "99999999999999999999", "", " ", ","]
@@ -228,7 +254,7 @@ class TestFuzzedModelText:
 class TestRenderText:
     def test_single_leaf_one_line(self):
         model = TreeModel(
-            Leaf((0, 0, 0, 9), SolvencyClass.STRONG), LearnerParams(), ("V1",)
+            Leaf((0, 0, 0, 9)), LearnerParams(), ("V1",)
         )
         assert render_text(model) == "strong [0 0 0 9]\n"
 
@@ -236,11 +262,11 @@ class TestRenderText:
         model = TreeModel(
             Split(
                 "V1", 1.5,
-                Leaf((3, 0, 0, 0), SolvencyClass.INSOLVENCY),
+                Leaf((3, 0, 0, 0)),
                 Split(
                     "V2", 0.75,
-                    Leaf((0, 2, 0, 0), SolvencyClass.WEAK),
-                    Leaf((0, 0, 0, 4), SolvencyClass.STRONG),
+                    Leaf((0, 2, 0, 0)),
+                    Leaf((0, 0, 0, 4)),
                 ),
             ),
             LearnerParams(),
@@ -261,10 +287,10 @@ class TestRenderText:
                 "V1", 1.5,
                 Split(
                     "V2", 0.75,
-                    Leaf((3, 0, 0, 0), SolvencyClass.INSOLVENCY),
-                    Leaf((0, 2, 0, 0), SolvencyClass.WEAK),
+                    Leaf((3, 0, 0, 0)),
+                    Leaf((0, 2, 0, 0)),
                 ),
-                Leaf((0, 0, 0, 4), SolvencyClass.STRONG),
+                Leaf((0, 0, 0, 4)),
             ),
             LearnerParams(),
             ("V1", "V2"),
