@@ -6,6 +6,8 @@ data generation, correlation-based feature selection, class rebalancing
 confidence-factor pruning, and stratified cross-validation reporting.
 """
 
+from types import ModuleType as _ModuleType
+
 from .balance import BalanceTargets, nearest_neighbors, resample, smote
 from .dataset import (
     ATTRIBUTE_NAMES,
@@ -71,66 +73,9 @@ from .tree_io import (
     write_model,
 )
 
-__all__ = [
-    "ATTRIBUTE_NAMES",
-    "ActionLevel",
-    "BalanceTargets",
-    "CLASS_ALPHABET",
-    "CSV_BASE_COLUMNS",
-    "CompanyRecord",
-    "ConfusionMatrix",
-    "CsvFormatError",
-    "Dataset",
-    "DiscretizedView",
-    "EvalReport",
-    "FeatureSubset",
-    "GeneratorSpec",
-    "Leaf",
-    "LearnerParams",
-    "ModelFormatError",
-    "PipelineConfig",
-    "SolvencyClass",
-    "Split",
-    "SplitCandidate",
-    "TreeModel",
-    "TreeNode",
-    "best_split",
-    "cfs_merit",
-    "class_distribution",
-    "cross_validate",
-    "discretize",
-    "entropy",
-    "evaluate_on",
-    "generate",
-    "greedy_stepwise",
-    "grow",
-    "grow_unpruned",
-    "invert_binomial_tail",
-    "label_from_car",
-    "load_csv",
-    "mae",
-    "merit_from_correlations",
-    "nearest_neighbors",
-    "node_count",
-    "parse",
-    "pessimistic_error",
-    "predict",
-    "prune",
-    "read_model",
-    "render_lines",
-    "render_report",
-    "render_text",
-    "report_from_predictions",
-    "resample",
-    "rmse",
-    "serialize",
-    "smote",
-    "stratified_folds",
-    "stratified_split",
-    "summary_lines",
-    "write_csv",
-    "write_model",
-]
+# every public name bound above, and the one that __getattr__ provides; submodules are not names
+__all__ = sorted([name for name, value in globals().items() if not name.startswith("_")
+                  and not isinstance(value, _ModuleType)] + ["PipelineConfig"])
 
 __version__ = "0.1.0"
 

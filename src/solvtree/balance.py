@@ -1,9 +1,9 @@
-"""Class-imbalance correction: bias-to-uniform resampling and SMOTE synthesis."""
+"""Class-imbalance correction: bias-to-uniform resampling and SMOTE synthesis, per dataset or per fold."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -20,6 +20,7 @@ from .dataset import (
     _class_counts,
     _real,
     _round_half_up,
+    class_distribution,
 )
 
 
@@ -67,6 +68,24 @@ def _apply(ds: Dataset, request: BalanceTargets, seed: int) -> Dataset:
     if request.mode == "resample":
         return resample(ds, request.bias_to_uniform, request.sample_size_percent, seed)
     return smote(ds, request.target_counts, request.k_neighbors, seed)
+
+
+_SKIPPED = {
+    "resample": "absent from the training portion; resampling skipped",
+    "smote": "has fewer than 2 training members; oversampling skipped",
+}
+
+
+def _balanced_training(train: Dataset, balance: BalanceTargets, seed: int, fold: int) -> tuple[Dataset, list[str]]:
+    """Fold ``fold``'s ``train`` balanced as ``balance`` asks, and its warnings; unbalanced where it cannot be."""
+    counts = class_distribution(train)
+    if balance.mode == "smote":  # clamp targets to the fold's counts so shrunk folds stay valid
+        balance = replace(balance, target_counts=tuple(map(max, balance.target_counts, counts)))
+    short = _short_classes(counts, balance)
+    if short:
+        names = ", ".join(cls.csv_name for cls in short)
+        return train, [f"fold {fold}: class {names} {_SKIPPED[balance.mode]}"]
+    return _apply(train, balance, seed), []
 
 
 def resample(

@@ -28,7 +28,7 @@ from typing import Iterable
 
 from .balance import BalanceTargets, _apply
 from .dataset import (
-    CLASS_ALPHABET, Dataset, _car_bands, _check_schema, _class_counts, _csv_text, _plain_float, _plain_int, load_csv,
+    Dataset, _car_bands, _check_schema, _class_cells, _class_counts, _csv_blocks, _plain_float, _plain_int, load_csv,
     write_csv,
 )
 from .datagen import GeneratorSpec, generate
@@ -249,12 +249,8 @@ def _cmd_predict(args) -> None:
     model = read_model(args.model)
     ds = _dataset(args)
     classes, freqs = _route(model, ds.values)
-    lines = [
-        f"{_csv_text(company_id)},{'' if year is None else year},{CLASS_ALPHABET[c].csv_name},"
-        + ",".join(map(repr, p)) + "\n"
-        for company_id, year, c, p in zip(ds.company_id, ds.year, classes.tolist(), freqs.tolist())
-    ]
-    _write_lines(args.output, ("".join(lines),))
+    _write_lines(args.output, _csv_blocks(ds, lambda rows: [
+        _class_cells(classes[rows]), *(list(map(repr, column)) for column in freqs[rows].T.tolist())]))
 
 
 def _cmd_render_tree(args) -> None:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -544,7 +544,7 @@ def load_csv(source, expect_labels: bool = False, allow_duplicates: bool = False
                        values=np.array(values).reshape(-1, len(ATTRIBUTE_NAMES)), y=labels)
 
 
-#: Rows formatted per block by :func:`write_csv`; bounds its temporaries.
+#: Rows formatted per block by :func:`_csv_blocks`; bounds its temporaries.
 _BLOCK_ROWS = 256
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]').search
@@ -571,32 +571,40 @@ def _money_cells(column: np.ndarray) -> list[str]:
     return ["" if cell == "nan" else cell for cell in map(repr, column.tolist())]
 
 
+def _class_cells(y: np.ndarray) -> list[str]:
+    """The CSV name of each class index in ``y``."""
+    return list(map(list(_LABELS).__getitem__, y.tolist()))
+
+
+def _csv_blocks(ds: Dataset, cells: Callable[[slice], list[list[str]]]) -> Iterator[str]:
+    """The CSV text of ``ds``'s rows, ``_BLOCK_ROWS`` at a time: ``company_id`` by :func:`_csv_text`,
+    the year, empty where absent, then the columns that ``cells(rows)`` gives for the slice ``rows``."""
+    for start in range(0, len(ds), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        ids = list(map(_csv_text, ds.company_id[rows].tolist()))
+        years = ["" if year is None else str(year) for year in ds.year[rows].tolist()]
+        yield "\n".join(map(",".join, zip(ids, years, *cells(rows)))) + "\n"
+
+
 def write_csv(ds: Dataset, dest) -> None:
     """Write the dataset CSV; the inverse of :func:`load_csv` on content.
 
     All eleven value columns are always written regardless of the active
     schema. The class column is written only for fully labeled datasets.
-    Rows are formatted a block at a time, column by column: floats by
-    ``repr``, absent cells empty, and ``company_id`` by :func:`_csv_text`.
+    Rows are written by :func:`_csv_blocks`: floats by ``repr``, absent
+    money cells empty.
     """
     labeled = ds.y >= 0
     with_class = bool(labeled.all())
     if not with_class and labeled.any():
         raise ValueError("cannot write a partially labeled dataset")
-    names = [cls.csv_name for cls in CLASS_ALPHABET]
+
+    def cells(rows: slice) -> list[list[str]]:
+        columns = [_money_cells(ds.tca[rows]), _money_cells(ds.tcr[rows]), list(map(repr, ds.car[rows].tolist())),
+                   *(list(map(repr, column)) for column in ds.values[rows].T.tolist())]
+        return columns + [_class_cells(ds.y[rows])] if with_class else columns
+
     own = not hasattr(dest, "write")
     with open(Path(dest), "w", encoding="utf-8", newline="") if own else nullcontext(dest) as fh:
         fh.write(",".join(CSV_BASE_COLUMNS + (("class",) if with_class else ())) + "\n")
-        for start in range(0, len(ds), _BLOCK_ROWS):
-            rows = slice(start, start + _BLOCK_ROWS)
-            columns = [
-                list(map(_csv_text, ds.company_id[rows].tolist())),
-                ["" if year is None else str(year) for year in ds.year[rows].tolist()],
-                _money_cells(ds.tca[rows]),
-                _money_cells(ds.tcr[rows]),
-                list(map(repr, ds.car[rows].tolist())),
-                *(list(map(repr, column)) for column in ds.values[rows].T.tolist()),
-            ]
-            if with_class:
-                columns.append(list(map(names.__getitem__, ds.y[rows].tolist())))
-            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+        fh.writelines(_csv_blocks(ds, cells))

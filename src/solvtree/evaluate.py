@@ -8,14 +8,14 @@ instance contributes one residual per class against its one-hot label.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ._fork import _map
-from .balance import BalanceTargets, _apply, _short_classes
-from .dataset import CLASS_ALPHABET, N_CLASSES, Dataset, SolvencyClass, class_distribution
+from .balance import BalanceTargets, _balanced_training
+from .dataset import CLASS_ALPHABET, N_CLASSES, Dataset, SolvencyClass
 from .dataset import _check_int, _shuffled_classes
 from .tree import LearnerParams, TreeModel, _route, grow
 
@@ -137,23 +137,6 @@ def _fold_seed(seed: int, fold: int) -> int:
     return int(np.random.SeedSequence(entropy=[seed, fold]).generate_state(1)[0])
 
 
-_SKIPPED = {
-    "resample": "absent from the training portion; resampling skipped",
-    "smote": "has fewer than 2 training members; oversampling skipped",
-}
-
-
-def _balanced_training(train: Dataset, balance: BalanceTargets, seed: int, fold: int) -> tuple[Dataset, list[str]]:
-    counts = class_distribution(train)
-    if balance.mode == "smote":  # clamp targets to the fold's counts so shrunk folds stay valid
-        balance = replace(balance, target_counts=tuple(map(max, balance.target_counts, counts)))
-    short = _short_classes(counts, balance)
-    if short:
-        names = ", ".join(cls.csv_name for cls in short)
-        return train, [f"fold {fold}: class {names} {_SKIPPED[balance.mode]}"]
-    return _apply(train, balance, seed), []
-
-
 def cross_validate(
     ds: Dataset,
     k: int,
@@ -203,25 +186,18 @@ def _pct(value: float) -> str:
     return "   n/a" if math.isnan(value) else f"{100.0 * value:5.1f}%"
 
 
+def _table_row(label: str, cells, total, last: str) -> str:
+    """One line of the report table: its label, a cell per class, the row total and the last column."""
+    return f"{label:<14}" + "".join(f"{cell:>7}" for cell in cells) + f"{total:>9}{last:>14}"
+
+
 def render_report(report: EvalReport) -> str:
     """Plain-text table: one row per actual class, then a summary block."""
-    m = report.matrix
-    header = f"{'Classification':<14}" + "".join(
-        f"{_SHORT[c]:>7}" for c in CLASS_ALPHABET
-    ) + f"{'Total':>9}{'Correct (%)':>14}"
-    lines = [header]
+    lines = [_table_row("Classification", _SHORT.values(), "Total", "Correct (%)")]
     for c in CLASS_ALPHABET:
-        row = m.cells[c.value]
-        lines.append(
-            f"{_SHORT[c]:<14}"
-            + "".join(f"{v:>7}" for v in row)
-            + f"{sum(row):>9}"
-            + f"{_pct(report.per_class_recall[c.value]):>14}"
-        )
-    lines.append(
-        f"{'Total':<14}" + " " * (7 * N_CLASSES) + f"{report.n:>9}"
-        + f"{_pct(report.overall_accuracy):>14}"
-    )
+        row = report.matrix.cells[c.value]
+        lines.append(_table_row(_SHORT[c], row, sum(row), _pct(report.per_class_recall[c.value])))
+    lines.append(_table_row("Total", [""] * N_CLASSES, report.n, _pct(report.overall_accuracy)))
     lines.append("")
     lines.append("I = insolvency, W = weak, M = moderate, S = strong")
     lines.append("")

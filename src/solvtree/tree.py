@@ -144,6 +144,7 @@ class TreeModel:
         if not isinstance(self._tree, _Tree):  # grown, pruned and parsed trees come as a _Tree, valid as made
             _check_schema(self.schema)
             object.__setattr__(self, "_tree", _flatten(self._tree, self.schema))
+        object.__setattr__(self, "schema", tuple(self.schema))
 
     @property
     def training_fingerprint(self) -> tuple[int, tuple[int, int, int, int]]:

@@ -243,31 +243,52 @@ def reference_smote(ds, targets, k, seed):
     return out
 
 
+def reference_resample(records, bias: float, percent: float, seed: int):
+    """Resampling with replacement, one draw per output record, over per-class member lists in row order.
+
+    Every class draw comes first, each one ``choice`` call with p_c = (1 - bias) * n_c / n + bias / 4,
+    then every member pick, each one ``integers`` call over its class's members.
+    """
+    members = [[r for r in records if r.label is cls] for cls in CLASS_ALPHABET]
+    probs = [(1 - bias) * len(m) / len(records) + bias / len(CLASS_ALPHABET) for m in members]
+    rng = np.random.default_rng(seed)
+    size = math.floor(percent / 100 * len(records) + 0.5)  # half up
+    draws = [int(rng.choice(len(CLASS_ALPHABET), p=probs)) for _ in range(size)]
+    return [members[c][int(rng.integers(len(members[c])))] for c in draws]
+
+
 def reference_cross_validate(ds: Dataset, k: int, params: LearnerParams, balance: BalanceTargets | None, seed: int):
     """``(actual, predicted, probs, warnings)`` of k-fold cross-validation, pooled in fold order.
 
-    Each fold of :func:`stratified_folds` trains on the other records, SMOTE-balanced per record by
-    :func:`reference_smote` when ``balance`` asks for it: targets are raised to the fold's counts, and a
-    fold where a class below its target has fewer than 2 members trains unbalanced with a warning. The
-    tree is :func:`reference_grow` pruned by :func:`reference_prune`, and each held-out record walks it
+    Each fold of :func:`stratified_folds` trains on the other records, balanced per record when ``balance``
+    asks for it. :func:`reference_resample` serves a fold unless a class is absent there and bias > 0. For
+    :func:`reference_smote`, targets are raised to the fold's counts first, and a class below its target
+    with fewer than 2 members leaves the fold unserved. An unserved fold trains unbalanced with a warning.
+    The tree is :func:`reference_grow` pruned by :func:`reference_prune`, and each held-out record walks it
     to a leaf, whose class frequencies it takes. ``ds``'s schema must be a prefix of ``ATTRIBUTE_NAMES``,
     as ``reference_grow`` names each attribute by its position.
     """
     assert ds.schema == ATTRIBUTE_NAMES[: len(ds.schema)]
-    assert balance is None or balance.mode == "smote"
     actual, predicted, probs, warnings = [], [], [], []
     for i, fold in enumerate(stratified_folds(ds, k, seed)):
         held_out = set(fold)
         train = [r for j, r in enumerate(ds.records) if j not in held_out]
-        if balance is not None:
-            counts = [sum(r.label is cls for r in train) for cls in CLASS_ALPHABET]
+        fold_seed = int(np.random.SeedSequence(entropy=[seed, i]).generate_state(1)[0])
+        counts = [sum(r.label is cls for r in train) for cls in CLASS_ALPHABET]
+        if balance is not None and balance.mode == "resample":
+            short = [cls.csv_name for cls, c in zip(CLASS_ALPHABET, counts) if c == 0 and balance.bias_to_uniform > 0]
+            if short:
+                warnings.append(f"fold {i}: class {', '.join(short)} absent from the training portion; "
+                                "resampling skipped")
+            else:
+                train = reference_resample(train, balance.bias_to_uniform, balance.sample_size_percent, fold_seed)
+        elif balance is not None:
             targets = [max(t, c) for t, c in zip(balance.target_counts, counts)]
             short = [cls.csv_name for cls, t, c in zip(CLASS_ALPHABET, targets, counts) if t > c and c < 2]
             if short:
                 warnings.append(f"fold {i}: class {', '.join(short)} has fewer than 2 training members; "
                                 "oversampling skipped")
             else:
-                fold_seed = int(np.random.SeedSequence(entropy=[seed, i]).generate_state(1)[0])
                 train = reference_smote(Dataset(tuple(train), ds.schema), targets, balance.k_neighbors, fold_seed)
         rows = [tuple(r.value(a) for a in ds.schema) for r in train]
         root = reference_grow(rows, [r.label.value for r in train], params.min_leaf, params.max_depth)

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,11 +18,14 @@ from solvtree import (
     ATTRIBUTE_NAMES,
     BalanceTargets,
     CompanyRecord,
+    Dataset,
+    GeneratorSpec,
     Leaf,
     LearnerParams,
     PipelineConfig,
     class_distribution,
     evaluate_on,
+    generate,
     grow,
     load_csv,
     parse,
@@ -32,6 +36,7 @@ from solvtree import (
     write_csv,
 )
 from solvtree.cli import main
+from solvtree.dataset import _BLOCK_ROWS, _csv_text
 
 from oracles import make_dataset
 
@@ -403,6 +408,28 @@ class TestTrainPredictEvaluate:
         assert len(rows) == len(lines) - 1
         assert {len(row) for row in rows} == {7}
         assert [row[0] for row in rows[:2]] == ["Acme, Inc.", 'say "hi"']
+
+    def test_predict_writes_one_line_per_row_across_blocks(self, tmp_path, capsys):
+        # more rows than one written block, with synthetic rows (no id, no year) and ids that need quoting
+        ds = generate(GeneratorSpec((90, 70, 60, 80), seed=5))
+        records = list(ds.records)
+        for i in range(0, len(records), 10):
+            for j, (company_id, year) in enumerate([(None, None), ("Acme, Inc.", 2001), ('say "hi"', 2002),
+                                                    ("two\nlines", 2003)]):
+                records[i + j] = replace(records[i + j], company_id=company_id, year=year)
+        data, model = tmp_path / "d.csv", tmp_path / "m.tree"
+        write_csv(Dataset(tuple(records), ds.schema), data)
+        model.write_text(serialize(grow(ds)), encoding="utf-8")
+        fitted, loaded = parse(model.read_text(encoding="utf-8")), load_csv(data, allow_duplicates=True)
+        assert len(loaded) > _BLOCK_ROWS and loaded.records[:4] == tuple(records[:4])
+        expected = "".join(
+            f"{_csv_text(r.company_id)},{'' if r.year is None else r.year},{cls.csv_name},"
+            + ",".join(map(repr, freqs.tolist())) + "\n"
+            for r in loaded.records for cls, freqs in [predict(fitted, r)]
+        )
+        assert main(["predict", "--model", str(model), "--input", str(data), "-o", str(tmp_path / "p.csv")]) == 0
+        assert (tmp_path / "p.csv").read_text(encoding="utf-8") == expected
+        assert _run(capsys, "predict", "--model", str(model), "--input", str(data)) == (0, expected, "")
 
     def test_train_attribute_restriction(self, data_csv, tmp_path, capsys):
         model = tmp_path / "m.tree"
@@ -1110,3 +1137,26 @@ class TestExitCodes:
     def test_missing_subcommand(self, capsys):
         code, _, _ = _run(capsys)
         assert code == 2
+
+
+# the package's public names as its hand-written __all__ listed them, which left out symmetric_uncertainty
+_LISTED_NAMES = """
+    ATTRIBUTE_NAMES ActionLevel BalanceTargets CLASS_ALPHABET CSV_BASE_COLUMNS CompanyRecord ConfusionMatrix
+    CsvFormatError Dataset DiscretizedView EvalReport FeatureSubset GeneratorSpec Leaf LearnerParams
+    ModelFormatError PipelineConfig SolvencyClass Split SplitCandidate TreeModel TreeNode best_split
+    cfs_merit class_distribution cross_validate discretize entropy evaluate_on generate greedy_stepwise grow
+    grow_unpruned invert_binomial_tail label_from_car load_csv mae merit_from_correlations nearest_neighbors
+    node_count parse pessimistic_error predict prune read_model render_lines render_report render_text
+    report_from_predictions resample rmse serialize smote stratified_folds stratified_split summary_lines
+    write_csv write_model
+""".split()
+
+
+class TestPublicNames:
+    def test_all_is_every_public_name_the_package_binds(self):
+        assert solvtree.__all__ == sorted(_LISTED_NAMES + ["symmetric_uncertainty"])
+        namespace = {}
+        exec("from solvtree import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(solvtree.__all__)
+        assert namespace["symmetric_uncertainty"] is solvtree.features.symmetric_uncertainty
+        assert namespace["PipelineConfig"] is PipelineConfig

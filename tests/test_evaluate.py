@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 from solvtree import (
     CLASS_ALPHABET,
     BalanceTargets,
+    ConfusionMatrix,
+    EvalReport,
     GeneratorSpec,
     LearnerParams,
     class_distribution,
@@ -405,6 +407,9 @@ class TestReferencePipeline:
         st.none() | st.builds(
             lambda targets, k_neighbors: BalanceTargets("smote", target_counts=targets, k_neighbors=k_neighbors),
             st.tuples(*[st.just(0) | st.integers(1, 12)] * 4), st.integers(1, 4),  # 0 asks nothing of a class
+        ) | st.builds(
+            lambda bias, percent: BalanceTargets("resample", bias, percent),
+            st.sampled_from([0, 0.5, 1]), st.sampled_from([50, 100, 150]),
         ),
         st.integers(0, 2**32 - 1),
     )
@@ -497,6 +502,55 @@ class TestReportRendering:
         assert "Overall accuracy:" in lines[9]
         assert "MAE:" in lines[10]
         assert "RMSE:" in lines[11]
+
+    def test_report_and_summary_text(self):
+        # an empty class row, a three-digit cell and one warning, in the exact bytes of both renderings
+        matrix = ConfusionMatrix(((123, 4, 0, 1), (0, 0, 0, 0), (2, 0, 7, 1), (0, 3, 0, 59)))
+        warning = "fold 2: class weak absent from the training portion; resampling skipped"
+        report = EvalReport(matrix, 0.0625, 0.125, (warning,))
+        assert render_report(report) == f"""\
+Classification      I      W      M      S    Total   Correct (%)
+I                 123      4      0      1      128         96.1%
+W                   0      0      0      0        0           n/a
+M                   2      0      7      1       10         70.0%
+S                   0      3      0     59       62         95.2%
+Total                                           200         94.5%
+
+I = insolvency, W = weak, M = moderate, S = strong
+
+Overall accuracy: 0.9450
+MAE:              0.0625
+RMSE:             0.1250
+Warning: {warning}
+"""
+        assert summary_lines(report) == f"""\
+n=200
+accuracy=0.945
+mae=0.0625
+rmse=0.125
+recall_insolvency=0.9609375
+recall_weak=nan
+recall_moderate=0.7
+recall_strong=0.9516129032258065
+cell_insolvency_insolvency=123
+cell_insolvency_weak=4
+cell_insolvency_moderate=0
+cell_insolvency_strong=1
+cell_weak_insolvency=0
+cell_weak_weak=0
+cell_weak_moderate=0
+cell_weak_strong=0
+cell_moderate_insolvency=2
+cell_moderate_weak=0
+cell_moderate_moderate=7
+cell_moderate_strong=1
+cell_strong_insolvency=0
+cell_strong_weak=3
+cell_strong_moderate=0
+cell_strong_strong=59
+warnings=1
+warning_1={warning}
+"""
 
     def test_summary_lines_keys(self):
         report = self._supplied_test_set_report()

@@ -70,6 +70,15 @@ class TestRoundTrip:
         model = grow(make_dataset(rows, labels), LearnerParams(min_leaf=min_leaf))
         assert parse(serialize(model)) == model
 
+    def test_a_list_schema_is_kept_as_a_tuple(self):
+        # hand-built and grown trees alike, so that the parsed model equals the one serialized
+        hand_built = TreeModel(Leaf((1, 0, 0, 0)), LearnerParams(), ["V1"])
+        grown = grow(make_dataset([(0.0,), (1.0,), (2.0,), (3.0,)], [0, 0, 3, 3]), LearnerParams(min_leaf=1))
+        regrown = TreeModel(grown._tree, grown.params, list(grown.schema))
+        for model in (hand_built, regrown):
+            assert type(model.schema) is tuple
+            assert parse(serialize(model)) == model
+
     def test_crlf_line_ends_load(self):
         model = _random_model(np.random.default_rng(5))
         assert parse(serialize(model).replace("\n", "\r\n")) == model
