@@ -104,6 +104,7 @@ def resample(
     rows themselves, repeated as drawn.
     """
     request = BalanceTargets("resample", bias_to_uniform, sample_size_percent)
+    _check_int("seed", seed, 0)
     n = len(ds)
     if n == 0:
         raise ValueError("cannot resample an empty dataset")
@@ -206,6 +207,7 @@ def smote(
     internals, and a class with a rejected draw makes the scalar calls).
     """
     request = BalanceTargets("smote", target_counts=target_counts, k_neighbors=k_neighbors)
+    _check_int("seed", seed, 0)
     y = ds.label_indices()
     counts = np.bincount(y, minlength=N_CLASSES).tolist()
     short = _short_classes(counts, request)

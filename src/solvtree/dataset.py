@@ -87,7 +87,7 @@ def label_from_car(car: float) -> SolvencyClass:
     Moderate on [120, 150), Weak on [100, 120), Insolvency below 100.
     The four bands partition the finite reals; non-finite input is rejected.
     """
-    car = float(car)
+    car = _real("CAR", car)
     if not math.isfinite(car):
         raise ValueError(f"CAR must be finite, got {car!r}")
     return CLASS_ALPHABET[int(_car_bands(car))]
@@ -204,8 +204,8 @@ def attribute_column(attribute: str) -> int:
     return _ATTR_INDEX[attribute]
 
 
-def _check_schema(names: Sequence[str]) -> None:
-    """Raise ValueError unless ``names`` are one or more distinct attributes of V1..V11."""
+def _check_schema(names: Sequence[str]) -> tuple[str, ...]:
+    """``names`` as a tuple; raises ValueError unless they are one or more distinct attributes of V1..V11."""
     if not names:
         raise ValueError("schema must name at least one attribute")
     for i, name in enumerate(names):  # at most twelve rounds: the twelfth known name repeats one
@@ -213,6 +213,7 @@ def _check_schema(names: Sequence[str]) -> None:
             raise ValueError(f"unknown attribute {name!r} in schema")
         if name in names[:i]:
             raise ValueError(f"duplicate attribute {name!r} in schema")
+    return tuple(names)
 
 
 #: Dataset columns, each as a 0-d array of its dtype that holds the entry of a row where it is absent.
@@ -320,6 +321,7 @@ def _round_half_up(x: float) -> int:
 
 def _shuffled_classes(y: np.ndarray, seed: int) -> list[np.ndarray]:
     """Each class's row indices, in alphabet order, each shuffled by one permutation of one generator."""
+    _check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     return [idx[rng.permutation(len(idx))] for idx in (np.flatnonzero(y == c) for c in range(N_CLASSES))]
 
@@ -333,7 +335,7 @@ def stratified_split(
     up) to the training side. The two sides partition the input exactly and
     are deterministic for a given seed.
     """
-    if not 0.0 < train_fraction < 1.0:
+    if not 0.0 < _real("train_fraction", train_fraction) < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     in_train = np.zeros(len(ds), dtype=bool)
     for idx in _shuffled_classes(ds.label_indices(), seed):

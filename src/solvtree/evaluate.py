@@ -16,7 +16,7 @@ import numpy as np
 from ._fork import _map
 from .balance import BalanceTargets, _balanced_training
 from .dataset import CLASS_ALPHABET, N_CLASSES, Dataset, SolvencyClass
-from .dataset import _check_int, _shuffled_classes
+from .dataset import _check_int, _is_int, _shuffled_classes
 from .tree import LearnerParams, TreeModel, _route, grow
 
 
@@ -80,11 +80,13 @@ def rmse(predicted_probs, actual) -> float:
 
 
 def _as_label_indices(labels) -> np.ndarray:
-    """Class indices of SolvencyClass members or integers; raises on one out of range."""
-    idx = np.asarray(labels)
-    if idx.dtype == object:  # class members, converted at the public edge
-        idx = np.array([a.value if isinstance(a, SolvencyClass) else int(a) for a in labels])
-    idx = idx.astype(np.int64)
+    """Class indices of SolvencyClass members or integers, not bools; raises on any other label or index."""
+    if not (isinstance(labels, np.ndarray) and labels.dtype.kind in "iu"):  # read one label at a time
+        labels = [a.value if isinstance(a, SolvencyClass) else a for a in labels]
+        for a in labels:
+            if not _is_int(a):
+                raise ValueError(f"label {a!r} is neither a class nor an integer")
+    idx = np.asarray(labels, dtype=np.int64)
     bad = idx[(idx < 0) | (idx >= N_CLASSES)]
     if bad.size:
         raise ValueError(f"label index {bad[0]} out of range")

@@ -86,6 +86,13 @@ class _Tree:
     counts: tuple[tuple[int, ...], ...]
     end: tuple[int, ...] = field(compare=False)
 
+    @cached_property
+    def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per node, for routing: the column a split tests (-1 at a leaf), threshold, right child, class frequencies."""
+        counts = np.array(self.counts, dtype=float)
+        return (np.array([attribute_column(a) if a else -1 for a in self.attribute]), np.array(self.threshold),
+                np.array(self.end[1:] + (0,)), counts / counts.sum(axis=1, keepdims=True))
+
     def root(self) -> TreeNode:
         """The Leaf/Split tree, built in one reverse pass."""
         built: list = [None] * len(self.end)
@@ -142,8 +149,7 @@ class TreeModel:
 
     def __post_init__(self) -> None:
         if not isinstance(self._tree, _Tree):  # grown, pruned and parsed trees come as a _Tree, valid as made
-            _check_schema(self.schema)
-            object.__setattr__(self, "_tree", _flatten(self._tree, self.schema))
+            object.__setattr__(self, "_tree", _flatten(self._tree, _check_schema(self.schema)))
         object.__setattr__(self, "schema", tuple(self.schema))
 
     @property
@@ -314,17 +320,22 @@ def pessimistic_error(misclassified: int, n: int, cf: float) -> float:
     give 1; fewer are solved by :func:`invert_binomial_tail`, which returns
     the closed form 1 - cf**(1/n) for zero errors.
     """
+    e, n, cf = _tail_args("misclassified", misclassified, n, cf, "]")
+    return 1.0 if e == n else invert_binomial_tail(e, n, cf)
+
+
+def _tail_args(name: str, e, n, cf, end: str) -> tuple[int, int, float]:
+    """(e, n, cf) as Python numbers; raises ValueError naming the argument unless cf is a real in (0, 1), n an
+    integer >= 1 and ``e``, called ``name``, an integer in [0, n] (``end`` "]") or [0, n) (``end`` ")")."""
+    cf = _real("cf", cf)
     if not 0.0 < cf < 1.0:
         raise ValueError(f"cf must be in (0, 1), got {cf}")
-    e = int(misclassified)
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0 <= e <= n:
-        raise ValueError(f"misclassified must be in [0, n], got {e} of {n}")
-    if e == n:
-        return 1.0
-    return invert_binomial_tail(e, n, cf)
+    _check_int("n", n, 1)
+    if not _is_int(e):
+        raise ValueError(f"{name} must be an integer, got {e!r}")
+    if not 0 <= e <= n - (end == ")"):
+        raise ValueError(f"{name} must be in [0, n{end}, got {e} of {n}")
+    return int(e), int(n), cf
 
 
 def _stirling_error(k: int) -> float:
@@ -348,6 +359,7 @@ def invert_binomial_tail(e: int, n: int, cf: float) -> float:
     Stegun 26.5.22). Iteration stops once a step is below 1e-9 of min(p, q)
     or no longer moves p.
     """
+    e, n, cf = _tail_args("e", e, n, cf, ")")
     if e == 0:  # the pmf form below needs e >= 1
         return 1.0 - cf ** (1.0 / n)
     m = n - e
@@ -424,24 +436,16 @@ def predict(model: TreeModel, record: CompanyRecord) -> tuple[SolvencyClass, np.
 
 
 def _route(model: TreeModel, values) -> tuple[np.ndarray, np.ndarray]:
-    """Route the rows of ``values`` (all eleven attributes, in ``ATTRIBUTE_NAMES`` order) to their leaves.
-
-    Pre-order node indices and their row-index arrays are popped off an explicit
-    stack. Returns each row's class index and its leaf's class frequencies, shape (n, 4).
-    """
-    tree = model._tree
+    """Route the rows of ``values`` (all eleven attributes, in ``ATTRIBUTE_NAMES`` order) down the node table, one
+    level per pass; returns each row's class index and its leaf's class frequencies, shape (n, 4)."""
+    column, threshold, right, freqs = model._tree.table
     values = np.asarray(values, dtype=float)
-    freqs = np.empty((len(values), N_CLASSES))
-    stack = [(0, np.arange(len(values)))]
-    while stack:
-        i, rows = stack.pop()
-        if rows.size == 0:
-            continue
-        if tree.attribute[i]:
-            left = values[rows, attribute_column(tree.attribute[i])] <= tree.threshold[i]
-            stack += ((tree.end[i + 1], rows[~left]), (i + 1, rows[left]))
-        else:
-            freqs[rows] = np.array(tree.counts[i], dtype=float) / sum(tree.counts[i])
+    node = np.zeros(len(values), dtype=np.intp)
+    rows = np.arange(len(values))
+    while (rows := rows[column[node[rows]] >= 0]).size:
+        at = node[rows]
+        node[rows] = np.where(values[rows, column[at]] <= threshold[at], at + 1, right[at])
+    freqs = freqs[node]
     return freqs.argmax(axis=1), freqs
 
 

@@ -40,29 +40,24 @@ def serialize(model: TreeModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _LineReader:
-    def __init__(self, text: str):
-        self.lines = text.replace("\r\n", "\n").removesuffix("\n").split("\n") if text else []
-        self.pos = 0  # lines read so far, which is also the 1-based number of the last one
-
-    def next(self, what: str) -> str:
-        if self.pos >= len(self.lines):
-            raise ModelFormatError(f"unexpected end of model text, expected {what}", self.pos + 1)
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
+def _line(lines: list[str], at: int, what: str) -> str:
+    """Line ``at`` (1-based); lines are read in order, so a missing one is the first after the end of the text."""
+    if at > len(lines):
+        raise ModelFormatError(f"unexpected end of model text, expected {what}", at)
+    return lines[at - 1]
 
 
-def _header_value(reader: _LineReader, key: str, convert=str, error: str = ""):
-    """``convert`` of the next line's text after ``key``; its ValueError raises ``error.format(text)``."""
-    line = reader.next(f"'{key}' header")
+def _header_value(lines: list[str], at: int, key: str, convert=str, error: str = ""):
+    """``convert`` of line ``at``'s text after ``key``; its ValueError raises ``error.format(text)``, or its own
+    message when no ``error`` is given."""
+    line = _line(lines, at, f"'{key}' header")
     prefix = key + " "
     if not line.startswith(prefix):
-        raise ModelFormatError(f"expected '{key}' header, found {line!r}", reader.pos)
+        raise ModelFormatError(f"expected '{key}' header, found {line!r}", at)
     try:
         return convert(line[len(prefix):])
-    except ValueError:
-        raise ModelFormatError(error.format(line[len(prefix):]), reader.pos) from None
+    except ValueError as exc:
+        raise ModelFormatError(error.format(line[len(prefix):]) if error else str(exc), at) from None
 
 
 _LEARNER_HEADERS = (  # (key, convert, message for a text that convert refuses)
@@ -72,10 +67,9 @@ _LEARNER_HEADERS = (  # (key, convert, message for a text that convert refuses)
 )
 
 
-def _read_node_line(reader: _LineReader, schema: tuple[str, ...]) -> tuple[str, float, tuple[int, ...]]:
-    """One pre-order node line as an (attribute, threshold, counts) triple; "" is a leaf's attribute."""
-    at = reader.pos + 1
-    line = reader.next("a node line")
+def _read_node_line(lines: list[str], at: int, schema: tuple[str, ...]) -> tuple[str, float, tuple[int, ...]]:
+    """Line ``at`` as a pre-order (attribute, threshold, counts) triple; "" is a leaf's attribute."""
+    line = _line(lines, at, "a node line")
     parts = line.split()
     if parts and parts[0] == "leaf":
         if len(parts) != 1 + N_CLASSES:
@@ -101,33 +95,29 @@ def _read_node_line(reader: _LineReader, schema: tuple[str, ...]) -> tuple[str, 
 def parse(text: str) -> TreeModel:
     """Inverse of :func:`serialize`, whose text alone loads, its lines ended by ``\\n`` or ``\\r\\n`` only (the
     last one optionally); raises ModelFormatError with the line number."""
-    reader = _LineReader(text)
-    first = reader.next("format line")
+    # line 1 is the format line, 2-4 the learner headers, 5 the schema, 6 the fingerprint and 6 + k node k
+    lines = text.replace("\r\n", "\n").removesuffix("\n").split("\n") if text else []
+    first = _line(lines, 1, "format line")
     if first != FORMAT_LINE:
         raise ModelFormatError(f"unsupported format line {first!r}", 1)
     learner = {}
-    for key, convert, error in _LEARNER_HEADERS:
-        learner[key] = _header_value(reader, key, convert, error)
+    for at, (key, convert, error) in enumerate(_LEARNER_HEADERS, 2):
+        learner[key] = _header_value(lines, at, key, convert, error)
         try:  # the values before this one passed, so an error here is this line's
             params = LearnerParams(**learner)
         except ValueError as exc:
-            raise ModelFormatError(str(exc), reader.pos) from None
-    schema = tuple(_header_value(reader, "schema").split(","))
-    try:
-        _check_schema(schema)
-    except ValueError as exc:
-        raise ModelFormatError(str(exc), reader.pos) from None
-    _header_value(reader, "trained")  # checked with every other line once the root's counts are known
-    # node lines are read until the tree is complete; the reader raises at the end of the text
-    nodes, unread = [], 1  # subtrees whose first line is still to come
+            raise ModelFormatError(str(exc), at) from None
+    schema = _header_value(lines, 5, "schema", lambda value: _check_schema(value.split(",")))
+    _header_value(lines, 6, "trained")  # checked with every other line once the root's counts are known
+    nodes, unread = [], 1  # node lines are read until no subtree's first line is still to come
     while unread:
-        nodes.append(_read_node_line(reader, schema))
+        nodes.append(_read_node_line(lines, 7 + len(nodes), schema))
         unread += 1 if nodes[-1][0] else -1
-    if reader.pos != len(reader.lines):
-        raise ModelFormatError("trailing content after the tree", reader.pos + 1)
+    if 6 + len(nodes) != len(lines):
+        raise ModelFormatError("trailing content after the tree", 7 + len(nodes))
     tree = _link(nodes)
     model = TreeModel(tree, params, schema)
-    for at, (line, expected) in enumerate(zip(reader.lines, serialize(model).splitlines()), 1):
+    for at, (line, expected) in enumerate(zip(lines, serialize(model).splitlines()), 1):
         if line != expected:  # each model has one text: serialize's
             key, _, value = expected.partition(" ")
             kind = "line" if key in ("split", "leaf") else "header"

@@ -325,6 +325,20 @@ class TestKnobMessages:
                 BalanceTargets(mode, **{"target_counts": (3, 3, 3, 3), **knobs})
             assert str(exc_info.value) == message, mode
 
+    @pytest.mark.parametrize("seed, message", [
+        (1.5, "seed must be an integer, got 1.5"),
+        (True, "seed must be an integer, got True"),
+        ("a", "seed must be an integer, got 'a'"),
+        (-1, "seed must be >= 0, got -1"),
+    ])
+    def test_seed_is_checked_where_it_enters(self, seed, message):
+        # numpy refused these with a TypeError or a message naming no field, or took True as 1
+        assert resample(_KNOB_DATA, seed=np.int64(2)).records == resample(_KNOB_DATA, seed=2).records
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            resample(_KNOB_DATA, seed=seed)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            smote(_KNOB_DATA, (4, 4, 4, 4), seed=seed)
+
     def test_non_integer_k_neighbors_is_refused_when_built(self):
         # refused when built, not by a TypeError inside the neighbour search
         ds = generate(GeneratorSpec((8, 8, 8, 8), seed=1))

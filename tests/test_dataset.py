@@ -3,6 +3,7 @@ import functools
 import io
 import math
 import operator
+import re
 import sys
 import tracemalloc
 
@@ -57,6 +58,13 @@ class TestLabelFromCar:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError):
+            label_from_car(bad)
+
+    @pytest.mark.parametrize("bad", ["150", b"150", None, True])
+    def test_non_numbers_rejected(self, bad):
+        # float() read the first two as 150 and True as 1, and None ended in a TypeError
+        assert label_from_car(np.float32(150.0)) is label_from_car(np.int64(150)) is SolvencyClass.STRONG
+        with pytest.raises(ValueError, match=f"^CAR must be a real number, got {re.escape(repr(bad))}$"):
             label_from_car(bad)
 
     @given(st.floats(allow_nan=False, allow_infinity=False))
@@ -636,6 +644,26 @@ class TestStratifiedSplit:
         for bad in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ValueError):
                 stratified_split(ds, bad, seed=0)
+
+    @pytest.mark.parametrize("bad", ["0.5", True, None])
+    def test_fraction_must_be_a_real_number(self, bad):
+        ds = make_dataset([(0.0,), (1.0,)], [0, 0])
+        with pytest.raises(ValueError, match=f"^train_fraction must be a real number, got {re.escape(repr(bad))}$"):
+            stratified_split(ds, bad, seed=0)
+
+    @pytest.mark.parametrize("seed, message", [
+        (1.5, "seed must be an integer, got 1.5"),
+        (True, "seed must be an integer, got True"),
+        ("1", "seed must be an integer, got '1'"),
+        (-1, "seed must be >= 0, got -1"),
+    ])
+    def test_seed_is_checked_where_it_enters(self, seed, message):
+        ds = make_dataset([(float(i),) for i in range(4)], [0, 0, 1, 1])
+        assert stratified_split(ds, 0.5, np.uint8(3))[0].records == stratified_split(ds, 0.5, 3)[0].records
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            stratified_split(ds, 0.5, seed)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            stratified_folds(ds, 2, seed)
 
     def test_train_side_is_the_head_of_each_class_shuffle_the_folds_deal(self):
         counts = (5, 3, 4, 8)

@@ -5,6 +5,7 @@ import os
 import signal
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +50,20 @@ class TestMetrics:
         probs = [[1.0, 0.0, 0.0, 0.0]]
         assert mae(probs, [3]) == 0.5
         assert rmse(probs, [3]) == pytest.approx(math.sqrt(0.5), abs=1e-12)
+
+    @pytest.mark.parametrize("labels", [[1.7], [True], ["1"], [None], np.array([True]), np.array([1.0])])
+    def test_labels_are_taken_as_given(self, labels):
+        # cast with astype and int() they read as class 1, or ended in a TypeError
+        assert mae([[0.0, 1.0, 0.0, 0.0]], [np.int8(1)]) == mae([[0.0, 1.0, 0.0, 0.0]], np.array([1], np.uint8)) == 0.0
+        with pytest.raises(ValueError, match=r"^label .+ is neither a class nor an integer$"):
+            mae([[0.0, 1.0, 0.0, 0.0]], labels)
+
+    def test_report_counts_no_label_it_was_not_given(self):
+        # both rows were counted as weak
+        with pytest.raises(ValueError, match=r"^label 1.7 is neither a class nor an integer$"):
+            report_from_predictions([1.7, True], [1, 1], [[0.0, 1.0, 0.0, 0.0]] * 2)
+        with pytest.raises(ValueError, match=r"^label True is neither a class nor an integer$"):
+            report_from_predictions([1, 1], [1, True], [[0.0, 1.0, 0.0, 0.0]] * 2)
 
     def test_uniform_prediction(self):
         probs = [[0.25, 0.25, 0.25, 0.25]]
@@ -139,6 +154,12 @@ class TestStratifiedFolds:
 
 
 class TestCrossValidate:
+    @pytest.mark.parametrize("seed", ["a", 1.5, True, -1])
+    def test_seed_is_checked_where_it_enters(self, seed):
+        ds = make_dataset([(float(i),) for i in range(4)], [0, 0, 1, 1])
+        with pytest.raises(ValueError, match=r"^seed must be (an integer|>= 0), got "):
+            cross_validate(ds, 2, seed=seed)
+
     def test_constant_label_dataset(self):
         ds = make_dataset([(float(i),) for i in range(20)], [3] * 20)
         report = cross_validate(ds, 5, seed=0)
@@ -565,3 +586,15 @@ warning_1={warning}
             "warnings=0",
         ):
             assert key in text
+
+
+def test_readme_library_quickstart_runs(capsys):
+    # the first Python block under "Library quickstart", run as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library quickstart\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    # balancing each fold's training part keeps copies of held-out rows out of training
+    assert "I                  42      2      0      0       44         95.5%" in out
+    assert "Overall accuracy: 0.9935" in out

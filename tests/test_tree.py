@@ -174,6 +174,34 @@ class TestPessimisticError:
         with pytest.raises(ValueError):
             pessimistic_error(0, 0, 0.25)
 
+    @pytest.mark.parametrize("args, message", [
+        ((1.5, 4, 0.25), "misclassified must be an integer, got 1.5"),
+        ((True, 4, 0.25), "misclassified must be an integer, got True"),
+        (("1", 4, 0.25), "misclassified must be an integer, got '1'"),
+        ((1, 4.0, 0.25), "n must be an integer, got 4.0"),
+        ((1, 4, "0.25"), "cf must be a real number, got '0.25'"),
+        ((1, 4, True), "cf must be a real number, got True"),
+    ])
+    def test_arguments_are_checked_not_coerced(self, args, message):
+        # read through int() they gave the bound of (1, 4), or a TypeError
+        assert pessimistic_error(np.int64(1), np.int32(4), np.float32(0.25)) == pessimistic_error(1, 4, 0.25)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pessimistic_error(*args)
+
+    @pytest.mark.parametrize("args, message", [
+        ((0, 0, 0.25), "n must be >= 1, got 0"),
+        ((5, 3, 0.25), "e must be in [0, n), got 5 of 3"),
+        ((3, 3, 0.25), "e must be in [0, n), got 3 of 3"),
+        ((2, 5, 1.5), "cf must be in (0, 1), got 1.5"),
+        ((2.0, 5, 0.25), "e must be an integer, got 2.0"),
+        ((2, 5, "0.25"), "cf must be a real number, got '0.25'"),
+    ])
+    def test_tail_inversion_arguments_are_checked(self, args, message):
+        # unchecked, these ended in ZeroDivisionError, a math domain error or a StatisticsError about p
+        assert invert_binomial_tail(np.int64(2), np.uint16(5), 0.25) == invert_binomial_tail(2, 5, 0.25)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            invert_binomial_tail(*args)
+
 
 class TestLeaf:
     def test_predicted_class_is_the_first_majority(self):
@@ -772,6 +800,26 @@ class TestPredict:
             )
             predict(model, ds.records[0])
 
+
+    @pytest.mark.parametrize("shape", ["one leaf", "bushy", "deep chain", "no rows"])
+    def test_router_matches_per_record_predict(self, shape):
+        if shape == "one leaf":
+            ds = make_dataset([(float(i),) for i in range(5)], [0, 1, 1, 2, 3])
+            model = TreeModel(Leaf((1, 2, 1, 1)), LearnerParams(), ("V1",))
+        elif shape == "deep chain":  # about 1100 splits, as in the growth test above
+            ds = make_dataset([(float(i),) for i in range(2200)], [(i // 2) % 2 for i in range(2200)])
+            model = grow_unpruned(ds)
+        else:
+            ds = generate(GeneratorSpec((40, 40, 40, 40), separation=1.0, seed=4))
+            model = grow_unpruned(ds)
+            if shape == "no rows":
+                ds = ds.take(np.zeros(len(ds), dtype=bool))
+        classes, freqs = solvtree.tree._route(model, ds.values)
+        assert classes.shape == (len(ds),) and freqs.shape == (len(ds), 4)
+        # a record routed alone takes as many passes as its depth, so the chain is sampled
+        for i in [*range(0, len(ds), 37), len(ds) - 1] if shape == "deep chain" else range(len(ds)):
+            cls, probs = predict(model, ds.records[i])
+            assert cls.value == classes[i] and probs.tolist() == freqs[i].tolist()
 
     def test_router_matches_a_hand_walk(self):
         rng = np.random.default_rng(11)

@@ -205,6 +205,17 @@ class TestParseErrors:
             parse("\n".join(lines))
         assert exc_info.value.line == line
 
+    @pytest.mark.parametrize("kept, expected", [
+        (1, "'confidence_factor' header"), (2, "'min_leaf' header"), (3, "'max_depth' header"),
+        (4, "'schema' header"), (5, "'trained' header"), (6, "a node line"), (7, "a node line"), (8, "a node line"),
+    ])
+    @pytest.mark.parametrize("newline, last", [("\n", "\n"), ("\r\n", "\r\n"), ("\n", "")])
+    def test_text_cut_after_a_line_names_the_next(self, kept, expected, newline, last):
+        text = newline.join(self._SMALL.splitlines()[:kept]) + last
+        with pytest.raises(ModelFormatError, match=f"^unexpected end of model text, expected {expected} ") as exc_info:
+            parse(text)
+        assert exc_info.value.line == kept + 1
+
     def test_bad_counts(self):
         model = TreeModel(
             Leaf((1, 0, 0, 0)), LearnerParams(), ("V1",)
