@@ -158,10 +158,19 @@ def _squared_distances(M: np.ndarray, Q: np.ndarray):
 
 def _nearest_block(M: np.ndarray, Q: np.ndarray, k: int) -> np.ndarray:
     """Per row of Q, the k rows of M nearest to it, ascending distance, ties in row order."""
-    # roots, not squares: distinct squares can round to one root, and then row order decides;
-    # copies, so that no chunk's whole sort outlives it
-    return np.concatenate([np.argsort(np.sqrt(d, out=d), axis=1, kind="stable")[:, :k].copy()
-                           for d in _squared_distances(M, Q)])
+    # roots, not squares: distinct squares can round to one root, and then row order decides
+    return np.concatenate([_first_k(np.sqrt(d, out=d), k) for d in _squared_distances(M, Q)])
+
+
+def _first_k(d: np.ndarray, k: int) -> np.ndarray:
+    """Per row of ``d``, the columns of its k smallest entries, ascending, ties in column order: a stable sort's."""
+    if k >= d.shape[1]:
+        return np.argsort(d, axis=1, kind="stable")
+    # the entries at or below a row's k-th smallest, ties at the cut included, hold its first k; nonzero
+    # lists them row by row in column order, which the stable lexsort keeps among equal entries of a row
+    row, col = np.nonzero(d <= np.partition(d, k - 1, axis=1)[:, k - 1, None])
+    col = col[np.lexsort((d[row, col], row))]
+    return col[np.searchsorted(row, np.arange(len(d)))[:, None] + np.arange(k)]
 
 
 def _draws(entropy: list[int], nn: int, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -201,7 +210,8 @@ def smote(
     deterministic and classes are independent.
 
     Each class runs in numpy blocks: its visited members' distances come in
-    row chunks of bounded size with one stable sort per chunk, and every
+    row chunks of bounded size, each ordered by a partition and one sort of
+    the entries at or below each row's cut, and every
     pick and fraction is read from one block of raw PCG64 outputs the way
     numpy's scalar calls read them (``_draws``; a test pins these numpy
     internals, and a class with a rejected draw makes the scalar calls).

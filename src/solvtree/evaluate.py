@@ -86,6 +86,8 @@ def _as_label_indices(labels) -> np.ndarray:
         for a in labels:
             if not _is_int(a):
                 raise ValueError(f"label {a!r} is neither a class nor an integer")
+            if not 0 <= a < N_CLASSES:  # before int64 conversion, which overflows on large ints
+                raise ValueError(f"label index {a} out of range")
     idx = np.asarray(labels, dtype=np.int64)
     bad = idx[(idx < 0) | (idx >= N_CLASSES)]
     if bad.size:

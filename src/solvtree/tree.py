@@ -200,6 +200,9 @@ class SplitCandidate:
     gain_ratio: float
 
 
+_BLOCK = 2**13  # candidates (rows x attributes) that best_split scores in one block
+
+
 def best_split(values, labels, params: LearnerParams = LearnerParams()) -> SplitCandidate | None:
     """Pick the binary split maximizing gain ratio among above-average-gain cuts.
 
@@ -222,22 +225,16 @@ def best_split(values, labels, params: LearnerParams = LearnerParams()) -> Split
     lo, hi = params.min_leaf - 1, n - params.min_leaf
     if lo >= hi or X.shape[1] == 0 or node_counts.max() == n:
         return None
-    # The sort need not be stable: cuts fall only between distinct values, so
-    # the order of tied rows changes no cut, no left count and no candidate order.
-    order = np.argsort(X.T, axis=1)
-    vs = np.take_along_axis(X.T, order, axis=1)
-    ys = y.take(order)  # each attribute's labels in its sorted order
-    cuts = np.zeros(vs.shape, dtype=bool)
-    np.less(vs[:, lo:hi], vs[:, lo + 1:hi + 1], out=cuts[:, lo:hi])
-    flat = np.flatnonzero(cuts)  # attribute-major candidate order
+    present = np.flatnonzero(node_counts)
+    h_node = _entropy_cols(node_counts[present, None], n)[0]
+    # A large node is scored a few attributes at a time: whole-node scratch would be trimmed off the
+    # heap after every call and faulted back in on the next. A small node is one block, joined by no copy.
+    step = max(1, _BLOCK // n)
+    gains, flat, nl, vs = zip(*(_score_block(X[:, a:a + step].T, y, node_counts, present, h_node, lo, hi, a * n)
+                                for a in range(0, X.shape[1], step)))
+    gains, flat, nl = (parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in (gains, flat, nl))
     if flat.size == 0:
         return None
-    present = np.flatnonzero(node_counts)
-    left = [np.cumsum(ys == j, axis=1, dtype=np.int32).take(flat) for j in present]
-    right = [int(node_counts[j]) - counts for j, counts in zip(present, left)]
-    nl, nr = sum(left), sum(right)
-    h_node = _entropy_cols(node_counts[present, None], n)[0]
-    gains = h_node - nl / n * _entropy_cols(left, nl) - nr / n * _entropy_cols(right, nr)
     mean_gain = _sum_in_order(gains) / gains.size
     eligible = np.flatnonzero(gains >= mean_gain - _TIE_EPS)
     # split information depends only on nl, so it is computed once per cut position
@@ -253,8 +250,27 @@ def best_split(values, labels, params: LearnerParams = LearnerParams()) -> Split
             best = i
     k = eligible[best]
     a, i = divmod(int(flat[k]), n)
-    threshold = X[X[:, a] == vs[a, i], a][-1]  # a stable sort's pick: keeps a ±0 tie's sign
+    threshold = X[X[:, a] == vs[a // step][a % step, i], a][-1]  # a stable sort's pick: keeps a ±0 tie's sign
     return SplitCandidate(a, float(threshold), float(gains[k]), float(ratio[best]))
+
+
+def _score_block(XT: np.ndarray, y: np.ndarray, node_counts, present, h_node, lo: int, hi: int, offset: int):
+    """The cuts of the attributes that are ``XT``'s rows: their gains, attribute-major positions in the node
+    (those in ``XT`` plus ``offset``) and left sizes, and ``XT`` with each row sorted."""
+    n = len(y)
+    # The sort need not be stable: cuts fall only between distinct values, so
+    # the order of tied rows changes no cut, no left count and no candidate order.
+    order = np.argsort(XT, axis=1)
+    vs = np.take_along_axis(XT, order, axis=1)
+    ys = y.take(order)  # each attribute's labels in its sorted order
+    cuts = np.zeros(vs.shape, dtype=bool)
+    np.less(vs[:, lo:hi], vs[:, lo + 1:hi + 1], out=cuts[:, lo:hi])
+    flat = np.flatnonzero(cuts)
+    left = [np.cumsum(ys == j, axis=1, dtype=np.int32).take(flat) for j in present]
+    right = [int(node_counts[j]) - counts for j, counts in zip(present, left)]
+    nl, nr = sum(left), sum(right)
+    gains = h_node - nl / n * _entropy_cols(left, nl) - nr / n * _entropy_cols(right, nr)
+    return gains, (flat + offset if offset else flat), nl, vs
 
 
 _FORK_DEPTH = 3  # growth maps the subtrees still open at this depth: at most 8

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from solvtree import (
     BalanceTargets,
@@ -76,6 +77,24 @@ class TestNearestNeighbors:
         ds = make_dataset([(0.0,), (1.0,)], [0, 0])
         with pytest.raises(ValueError, match="^k must be an integer, got 1.5$"):
             nearest_neighbors(ds.records[0], ds.records[1:], k=1.5)
+
+
+class TestNearestBlock:
+    @settings(deadline=None)
+    @given(st.data())
+    def test_order_of_the_stable_full_sort(self, data):
+        # tie-heavy rows, and values near +-1e200 whose squared distances overflow to inf and tie there;
+        # chunks of one query row or of all of them
+        a = data.draw(st.integers(1, 3))
+        value = st.sampled_from([-1e200, -1.0, -0.0, 0.0, 1.0, 1e200]) | st.floats(-3, 3)
+        rows = st.lists(st.lists(value, min_size=a, max_size=a), min_size=1, max_size=25)
+        M, Q = np.array(data.draw(rows)), np.array(data.draw(rows))
+        k = data.draw(st.integers(1, len(M) + 2))
+        with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore"):
+            patch.setattr(balance, "_CHUNK", data.draw(st.sampled_from([1, 2**15])))
+            got = balance._nearest_block(M, Q, k)
+            roots = np.sqrt(np.square(M[None] - Q[:, None]).sum(axis=2))
+        assert got.tolist() == np.argsort(roots, axis=1, kind="stable")[:, :k].tolist()
 
 
 class TestResample:

@@ -112,6 +112,16 @@ class TestMetrics:
         with pytest.raises(ValueError, match="label index 4 out of range"):
             rmse(probs, [0, 4, 1])
 
+    @pytest.mark.parametrize("label", [2**64, 2**70, -(2**63) - 1])
+    def test_labels_beyond_int64_out_of_range(self, label):
+        # range-checked before the int64 conversion, which would overflow
+        with pytest.raises(ValueError, match=f"^label index {label} out of range$"):
+            mae([[0.0, 1.0, 0.0, 0.0]], [label])
+        with pytest.raises(ValueError, match=f"^label index {label} out of range$"):
+            report_from_predictions([label], [1], [[0.0, 1.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match=f"^label index {label} out of range$"):
+            report_from_predictions([1], [label], [[0.0, 1.0, 0.0, 0.0]])
+
 
 class TestStratifiedFolds:
     def test_616_fold_sizes(self):

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -339,30 +340,76 @@ def _assert_same_split(got, want):
         assert signs[0] == signs[1]
 
 
+def _sweep_against_row_major_scorer(min_leaf):
+    rng = np.random.default_rng(100 + min_leaf)
+    params = LearnerParams(min_leaf=min_leaf)
+    found = 0
+    for case in range(264):
+        k, kind = 1 + case % 11, case // 11 % 4
+        n = int(rng.integers(2, 150))
+        classes = rng.choice(4, size=int(rng.integers(1, 5)), replace=False)  # often some absent
+        y = rng.choice(classes, size=n)
+        if kind == 0:  # continuous
+            X = rng.normal(size=(n, k))
+        elif kind == 1:  # tie-heavy integer columns
+            X = rng.integers(0, int(rng.integers(1, 6)), size=(n, k)).astype(float)
+        elif kind == 2:  # ties of -0.0 and 0.0, where only a stable pick keeps the sign
+            X = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(n, k))
+        else:  # labels follow the first column, so some cuts leave pure children
+            X = rng.integers(0, 4, size=(n, k)).astype(float)
+            y = classes[(X[:, 0] >= 2) % len(classes)]
+        want = _row_major_best_split(X, y, params)
+        _assert_same_split(best_split(X, y, params), want)
+        found += want is not None
+    assert found > 150
+
+
 class TestBestSplitAgainstRowMajorScorer:
     @pytest.mark.parametrize("min_leaf", [1, 2, 3])
     def test_same_candidate_bit_for_bit(self, min_leaf):
-        rng = np.random.default_rng(100 + min_leaf)
+        _sweep_against_row_major_scorer(min_leaf)
+
+    @pytest.mark.parametrize("min_leaf", [1, 2, 3])
+    def test_same_candidate_with_one_attribute_blocks(self, min_leaf, monkeypatch):
+        # every node of the sweep scored one attribute per block, as nodes above _BLOCK rows are
+        monkeypatch.setattr(solvtree.tree, "_BLOCK", 1)
+        _sweep_against_row_major_scorer(min_leaf)
+
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    def test_node_of_several_blocks(self, min_leaf):
+        # 4200 x 3 candidates is above 2**13, so each attribute is scored in a block of its own: noise,
+        # then a constant whose block has no candidates, then the winner, whose cut is at a tie of
+        # -0.0 and 0.0 that the last such row, a -0.0, decides
+        rng = np.random.default_rng(7)
+        n = 4200
+        y = rng.integers(0, 2, size=n)
+        winner = np.where(y == 0, rng.choice([-1.0, -0.0, 0.0], size=n), rng.choice([1.0, 2.0], size=n))
+        winner[np.flatnonzero(y == 0)[-1]] = -0.0
+        X = np.column_stack([rng.normal(size=n), np.full(n, 5.0), winner])
         params = LearnerParams(min_leaf=min_leaf)
-        found = 0
-        for case in range(264):
-            k, kind = 1 + case % 11, case // 11 % 4
-            n = int(rng.integers(2, 150))
-            classes = rng.choice(4, size=int(rng.integers(1, 5)), replace=False)  # often some absent
-            y = rng.choice(classes, size=n)
-            if kind == 0:  # continuous
-                X = rng.normal(size=(n, k))
-            elif kind == 1:  # tie-heavy integer columns
-                X = rng.integers(0, int(rng.integers(1, 6)), size=(n, k)).astype(float)
-            elif kind == 2:  # ties of -0.0 and 0.0, where only a stable pick keeps the sign
-                X = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(n, k))
-            else:  # labels follow the first column, so some cuts leave pure children
-                X = rng.integers(0, 4, size=(n, k)).astype(float)
-                y = classes[(X[:, 0] >= 2) % len(classes)]
-            want = _row_major_best_split(X, y, params)
-            _assert_same_split(best_split(X, y, params), want)
-            found += want is not None
-        assert found > 150
+        want = _row_major_best_split(X, y, params)
+        assert want.attribute_index == 2 and want.threshold == 0.0 and np.signbit(want.threshold)
+        _assert_same_split(best_split(X, y, params), want)
+
+    def test_blocks_lower_the_peak_of_a_large_node(self, monkeypatch):
+        # a 20,000 x 11 node: blocks of 2**13 candidates against one block of the whole node,
+        # measured alike on any numpy
+        rng = np.random.default_rng(3)
+        X, y = rng.normal(size=(20_000, 11)), rng.integers(0, 4, size=20_000)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                got = best_split(X, y)
+                return got, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        blocked = peak()
+        monkeypatch.setattr(solvtree.tree, "_BLOCK", 2**40)
+        whole = peak()
+        assert blocked[0] == whole[0]
+        assert blocked[1] <= 0.7 * whole[1]
 
     @settings(deadline=None)
     @given(st.data())
