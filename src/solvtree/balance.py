@@ -164,8 +164,7 @@ def _nearest_block(M: np.ndarray, Q: np.ndarray, k: int) -> np.ndarray:
 
 def _first_k(d: np.ndarray, k: int) -> np.ndarray:
     """Per row of ``d``, the columns of its k smallest entries, ascending, ties in column order: a stable sort's."""
-    if k >= d.shape[1]:
-        return np.argsort(d, axis=1, kind="stable")
+    k = min(k, d.shape[1])
     # the entries at or below a row's k-th smallest, ties at the cut included, hold its first k; nonzero
     # lists them row by row in column order, which the stable lexsort keeps among equal entries of a row
     row, col = np.nonzero(d <= np.partition(d, k - 1, axis=1)[:, k - 1, None])

@@ -230,8 +230,8 @@ def best_split(values, labels, params: LearnerParams = LearnerParams()) -> Split
     # A large node is scored a few attributes at a time: whole-node scratch would be trimmed off the
     # heap after every call and faulted back in on the next. A small node is one block, joined by no copy.
     step = max(1, _BLOCK // n)
-    gains, flat, nl, vs = zip(*(_score_block(X[:, a:a + step].T, y, node_counts, present, h_node, lo, hi, a * n)
-                                for a in range(0, X.shape[1], step)))
+    gains, flat, nl = zip(*(_score_block(X[:, a:a + step].T, y, node_counts, present, h_node, lo, hi, a * n)
+                            for a in range(0, X.shape[1], step)))
     gains, flat, nl = (parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in (gains, flat, nl))
     if flat.size == 0:
         return None
@@ -250,13 +250,13 @@ def best_split(values, labels, params: LearnerParams = LearnerParams()) -> Split
             best = i
     k = eligible[best]
     a, i = divmod(int(flat[k]), n)
-    threshold = X[X[:, a] == vs[a // step][a % step, i], a][-1]  # a stable sort's pick: keeps a ±0 tie's sign
+    threshold = X[X[:, a] == np.partition(X[:, a], i)[i], a][-1]  # a stable sort's pick: keeps a ±0 tie's sign
     return SplitCandidate(a, float(threshold), float(gains[k]), float(ratio[best]))
 
 
 def _score_block(XT: np.ndarray, y: np.ndarray, node_counts, present, h_node, lo: int, hi: int, offset: int):
     """The cuts of the attributes that are ``XT``'s rows: their gains, attribute-major positions in the node
-    (those in ``XT`` plus ``offset``) and left sizes, and ``XT`` with each row sorted."""
+    (those in ``XT`` plus ``offset``) and left sizes."""
     n = len(y)
     # The sort need not be stable: cuts fall only between distinct values, so
     # the order of tied rows changes no cut, no left count and no candidate order.
@@ -270,7 +270,7 @@ def _score_block(XT: np.ndarray, y: np.ndarray, node_counts, present, h_node, lo
     right = [int(node_counts[j]) - counts for j, counts in zip(present, left)]
     nl, nr = sum(left), sum(right)
     gains = h_node - nl / n * _entropy_cols(left, nl) - nr / n * _entropy_cols(right, nr)
-    return gains, (flat + offset if offset else flat), nl, vs
+    return gains, (flat + offset if offset else flat), nl
 
 
 _FORK_DEPTH = 3  # growth maps the subtrees still open at this depth: at most 8
